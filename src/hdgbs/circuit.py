@@ -19,6 +19,7 @@ from .matrices import (as_rng, assert_unitary, haar_isometry,
                        matrix_from_json, matrix_to_json)
 
 MODE_LIMIT = 4096
+GATE_PRODUCT_TOL = 1e-10
 
 
 class Gate(NamedTuple):
@@ -74,6 +75,15 @@ def _validate_lattice(a: int, dim: int, cycles: int) -> None:
         raise ContractViolationError(f"cycle count must be >= 1, got C={cycles}")
 
 
+def _gate_product(m: int, gates) -> np.ndarray:
+    """Total m x m unitary of a gate list, each gate applied in order to
+    rows (i, j) of the running matrix: O(gates * m)."""
+    unitary = np.eye(m, dtype=complex)
+    for i, j, v in gates:
+        unitary[[i, j], :] = v @ unitary[[i, j], :]
+    return unitary
+
+
 def build_instance(r: float, a: int, dim: int, cycles: int, seed: int,
                    mode_limit: int = MODE_LIMIT,
                    shared_layer_gate: bool = False) -> GbsInstance:
@@ -94,7 +104,6 @@ def build_instance(r: float, a: int, dim: int, cycles: int, seed: int,
 
     seed = int(seed)
     rng = as_rng(seed)
-    unitary = np.eye(m, dtype=complex)
     gates = []
     for _ in range(cycles):
         for d in range(dim):
@@ -102,9 +111,8 @@ def build_instance(r: float, a: int, dim: int, cycles: int, seed: int,
             v_layer = haar_isometry(2, 2, rng) if shared_layer_gate else None
             for i in range(m - tau):
                 v = v_layer if shared_layer_gate else haar_isometry(2, 2, rng)
-                j = i + tau
-                gates.append(Gate(i, j, v))
-                unitary[[i, j], :] = v @ unitary[[i, j], :]
+                gates.append(Gate(i, i + tau, v))
+    unitary = _gate_product(m, gates)
     unitary.setflags(write=False)
     inst = GbsInstance(r=float(r), a=a, dim=dim, cycles=cycles, seed=seed,
                        gates=tuple(gates), unitary=unitary)
@@ -215,6 +223,10 @@ def instance_to_json(instance: GbsInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> GbsInstance:
+    """Instance from its JSON form. The stored unitary must be unitary, of
+    size a^D, and equal to the ordered product of the stored gates to
+    GATE_PRODUCT_TOL (max-norm), so that every consumer of the instance
+    sees one circuit."""
     unitary = matrix_from_json(obj["unitary"])
     assert_unitary(unitary)
     gates = tuple(Gate(int(g["i"]), int(g["j"]), matrix_from_json(g["v"]))
@@ -222,10 +234,24 @@ def instance_from_json(obj: dict) -> GbsInstance:
     inst = GbsInstance(r=float(obj["r"]), a=int(obj["a"]), dim=int(obj["D"]),
                        cycles=int(obj["C"]), seed=int(obj["seed"]),
                        gates=gates, unitary=unitary)
+    m = inst.modes
+    if unitary.shape != (m, m):
+        raise ContractViolationError(
+            f"unitary is {unitary.shape[0]}x{unitary.shape[1]}, expected {m}x{m}")
     expected = expected_gate_count(inst.a, inst.dim, inst.cycles)
     if len(gates) != expected:
         raise ContractViolationError(
             f"gate list has {len(gates)} entries, expected {expected}")
+    for g in gates:
+        if not 0 <= g.i < g.j < m or g.v.shape != (2, 2):
+            raise ContractViolationError(
+                f"gate on modes ({g.i}, {g.j}) with a {g.v.shape} matrix "
+                f"is not a 2 x 2 gate on {m} modes")
+    defect = float(np.max(np.abs(_gate_product(m, gates) - unitary)))
+    if defect > GATE_PRODUCT_TOL:
+        raise ContractViolationError(
+            f"unitary differs from the product of the gates by {defect:.3e} "
+            f"(> {GATE_PRODUCT_TOL:.1e})")
     return inst
 
 

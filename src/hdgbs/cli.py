@@ -4,7 +4,8 @@ Subcommands: haf, prob, instance (new | lossbudget), photondist,
 hiding (spectra | scan), tn (cost | contract), bench (run | fit |
 extrapolate | sample-cost). Every command is a pure pipeline: identical
 inputs and seed produce byte-identical output files. Exit codes: 0 on
-success, 2 on contract violations, 3 on resource guards.
+success, 2 on contract violations and on files that cannot be read or
+written or hold malformed JSON, 3 on resource guards.
 """
 
 import argparse
@@ -329,6 +330,12 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
+    except json.JSONDecodeError as exc:
+        print(f"malformed JSON: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
     return 0
 
 

@@ -157,6 +157,7 @@ def test_criterion_06_tensor_network_cross_check():
                    f"worst |amp^2 - Pr| = {worst:.2e} over {count} patterns")
 
 
+@pytest.mark.slow
 def test_criterion_07_cost_model_shape():
     records = bench_hafnian(list(range(16, 38, 2)), reps=3, seed=2024)
     model = fit_cost_model(records, machine_label="desk")

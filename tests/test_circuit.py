@@ -10,8 +10,9 @@ from hdgbs.circuit import (LossBudget, adjacency, adjacency_general,
                            instance_to_json, light_cone_band, loss_budget,
                            loss_budget_report)
 from hdgbs.errors import ContractViolationError, ResourceLimitError
-from hdgbs.matrices import (haar_unitary, symmetric_product_submatrix,
-                            symmetry_defect, unitarity_defect)
+from hdgbs.matrices import (haar_unitary, matrix_to_json,
+                            symmetric_product_submatrix, symmetry_defect,
+                            unitarity_defect)
 
 
 def test_gate_count_a3_d2():
@@ -207,6 +208,26 @@ def test_instance_json_rejects_wrong_gate_count():
     obj = instance_to_json(build_instance(0.6, 2, 2, 1, seed=18))
     obj["gates"] = obj["gates"][:-1]
     with pytest.raises(ContractViolationError):
+        instance_from_json(obj)
+
+
+SWAP = matrix_to_json(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # the swap is a 2 x 2 unitary and the stored unitary stays unitary,
+    # so only the gate product tells the two circuits apart
+    ("v", SWAP, "product of the gates"),
+    ("j", 4, "2 x 2 gate on 4 modes"),
+    ("unitary", matrix_to_json(np.eye(3)), "expected 4x4"),
+])
+def test_instance_json_rejects_inconsistent_file(field, value, message):
+    obj = instance_to_json(build_instance(0.3, 2, 2, 1, seed=7))
+    if field == "unitary":
+        obj["unitary"] = value
+    else:
+        obj["gates"][0][field] = value
+    with pytest.raises(ContractViolationError, match=message):
         instance_from_json(obj)
 
 

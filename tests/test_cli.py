@@ -168,3 +168,44 @@ def test_exit_code_contract_violation(tmp_path):
 def test_exit_code_resource_limit(tmp_path):
     assert run(["instance", "new", "--r", "0.5", "--a", "10", "--D", "5",
                 "--C", "1", "--seed", "0", "--out", str(tmp_path / "x.json")]) == 3
+
+
+def test_instance_whose_unitary_disagrees_with_gates_exits_2(tmp_path, capsys):
+    inst_path = tmp_path / "small.json"
+    assert run(["instance", "new", "--r", "0.3", "--a", "2", "--D", "2", "--C", "1",
+                "--seed", "7", "--out", str(inst_path)]) == 0
+    obj = json.loads(inst_path.read_text())
+    obj["gates"][0]["v"] = matrix_to_json(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    inst_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["prob", "--instance", str(inst_path), "--pattern", "0,2,0,2"]) == 2
+    assert run(["tn", "contract", "--instance", str(inst_path),
+                "--pattern", "0,2,0,2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("product of the gates") == 2
+
+
+def test_exit_code_missing_file(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert run(["bench", "extrapolate", "--model", str(missing),
+                "--rmax-ratio", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(missing) in err
+    assert err.count("\n") == 1
+
+
+def test_exit_code_malformed_json(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text("{\"c\": 1e-9,")
+    assert run(["bench", "extrapolate", "--model", str(model),
+                "--rmax-ratio", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed JSON: ") and err.count("\n") == 1
+
+
+def test_exit_code_unwritable_output(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "b.json"
+    assert run(["instance", "lossbudget", "--a", "2", "--D", "1", "--C", "1",
+                "--eta-bs", "0.9", "--eta-unit", "0.99", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("file error: ")

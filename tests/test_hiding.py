@@ -8,7 +8,7 @@ from hdgbs.hiding import (EnsembleSpec, SpectrumHistogram, ensemble_tv,
                           pooled_singular_values, sample_ensemble,
                           shared_edges, singular_spectrum, spectra_histograms,
                           spectra_tv_distance, split_half_tv)
-from hdgbs.matrices import symmetry_defect, unitarity_defect
+from hdgbs.matrices import haar_isometry, symmetry_defect, unitarity_defect
 
 
 def test_spec_validation():
@@ -166,3 +166,59 @@ def test_spectra_histograms_share_edges():
     ha, hb = spectra_histograms(coe, gsym, samples=50, bins=16, seed=4)
     assert np.array_equal(ha.bin_edges, hb.bin_edges)
     assert ha.masses.sum() == pytest.approx(1.0)
+
+
+def _haar_block_mk_qr(m, n, k, rng):
+    """Reference sampler: rows 0..n-1 of the first k columns of a Haar
+    unitary, from an O(m k^2) QR of an m x k Ginibre matrix."""
+    return haar_isometry(m, k, rng)[:n, :]
+
+
+def _reference_pool(kind, m, n, k, samples, seed):
+    children = np.random.SeedSequence(seed).spawn(samples)
+    vals = []
+    for child in children:
+        v = _haar_block_mk_qr(m, n, k, np.random.default_rng(child))
+        vals.append(singular_spectrum(v if kind == "haar_sub" else v @ v.T))
+    return np.concatenate(vals)
+
+
+def _pool_tv(a, b, bins):
+    edges = shared_edges(a, b, bins)
+    return spectra_tv_distance(histogram_from_values(a, edges, 1),
+                               histogram_from_values(b, edges, 1))
+
+
+def _split_half_floor(pool, n, bins):
+    draws = pool.reshape(-1, n)
+    return _pool_tv(draws[0::2].ravel(), draws[1::2].ravel(), bins)
+
+
+@pytest.mark.parametrize("kind, m, n, k, samples", [
+    ("haar_sub", 40, 4, 30, 2_000),
+    ("coe_sub", 40, 4, 30, 2_000),
+    ("coe_sub", 200, 10, 200, 300),   # at K = M every haar_sub value is 1
+])
+def test_sub_block_sampler_matches_mk_qr_reference(kind, m, n, k, samples):
+    bins = 60
+    new = pooled_singular_values(EnsembleSpec(kind, m, n, k), samples, seed=61)
+    ref = _reference_pool(kind, m, n, k, samples, seed=62)
+    tv = _pool_tv(new, ref, bins)
+    floor = 0.5 * (_split_half_floor(new, n, bins) + _split_half_floor(ref, n, bins))
+    assert tv < 3.0 * floor, (tv, floor)
+
+
+@pytest.mark.parametrize("m, n, k", [(40, 4, 30), (200, 10, 200), (30, 3, 3)])
+def test_haar_block_norms(m, n, k):
+    # a block of a unitary has operator norm <= 1, and for Haar U the
+    # block's squared Frobenius norm has mean N K / M and variance
+    # N K (M - N) (M - K) / (M^2 (M^2 - 1))
+    samples = 2_000
+    sv = pooled_singular_values(EnsembleSpec("haar_sub", m, n, k), samples, seed=63)
+    assert sv.min() >= 0.0 and sv.max() <= 1.0 + 1e-12
+    coe = pooled_singular_values(EnsembleSpec("coe_sub", m, n, k), 200, seed=64)
+    assert coe.min() >= 0.0 and coe.max() <= 1.0 + 1e-12
+    frob = (sv.reshape(samples, n) ** 2).sum(axis=1)
+    var = n * k * (m - n) * (m - k) / (m ** 2 * (m ** 2 - 1))
+    sigma = np.sqrt(var / samples)
+    assert abs(frob.mean() - n * k / m) <= 5.0 * sigma + 1e-12
