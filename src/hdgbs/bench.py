@@ -110,7 +110,11 @@ def fit_residuals(records, model: CostModel) -> np.ndarray:
 def residual_trend_pvalue(residuals) -> float:
     """Cox-Stuart sign test for a monotone trend: pair each residual with
     its opposite-half partner and two-sided binomial-test the sign counts.
-    Large p means no detectable trend."""
+    Large p means no detectable trend.
+
+    With k non-zero pairs the smallest attainable p is 2^(1-k), reached
+    when every pair has the same sign. Eleven residuals give 5 pairs, so
+    p >= 0.0625 and a p < 0.05 trend gate on 11 sizes can never fail."""
     res = np.asarray(residuals, dtype=float)
     half = len(res) // 2
     diffs = res[len(res) - half:] - res[:half]

@@ -209,8 +209,7 @@ def _cmd_bench_sample_cost(args) -> None:
                 raise ContractViolationError("distribution rows must be consecutive")
             log_probs.append(float(lp))
             n += 1
-    dist = probability.PhotonNumberDist(np.asarray(log_probs), n - 1, modes=0,
-                                        r=0.0, eta=float("nan"))
+    dist = probability.PhotonNumberDist(np.asarray(log_probs), n - 1)
     seconds, n_cut = bench_mod.sample_time_estimate(dist, model, args.overhead,
                                                     args.p_min)
     _write(args.out, json.dumps({"seconds": seconds, "n_cut": n_cut}) + "\n")

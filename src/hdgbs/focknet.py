@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuit import GbsInstance
 from .errors import ContractViolationError, ResourceLimitError
-from .matrices import assert_unitary
+from .matrices import _seed_sequence, assert_unitary
 
 MEMORY_GUARD_ELEMS = 10 ** 8
 
@@ -68,7 +68,9 @@ class TensorNetwork:
 @dataclass(frozen=True)
 class ContractionPlan:
     """Pairwise contraction order in single-assignment ids: tensors are
-    numbered 0..T-1, and step k merges (i, j) into id T + k."""
+    numbered 0..T-1, and step k merges (i, j) into id T + k. ``_replay``
+    is the one place that defines this scheme and the rules a valid plan
+    obeys."""
 
     order: tuple
     est_flops: float
@@ -164,10 +166,10 @@ def build_network(instance: GbsInstance, cutoff: int,
     return TensorNetwork(tuple(tensors), ())
 
 
-def _mask_size(mask: int, dims, uniform: int | None) -> float:
+def _mask_size(mask: int, dims, uniform: float | None) -> float:
     """Element count of a tensor whose index set is the given bitmask."""
     if uniform is not None:
-        return float(uniform) ** mask.bit_count()
+        return uniform ** mask.bit_count()
     total = 1.0
     mm = mask
     while mm:
@@ -180,13 +182,12 @@ def _mask_size(mask: int, dims, uniform: int | None) -> float:
 def _greedy_path(masks, dims, uniform, rng):
     """One randomized greedy search over a network given as label bitmasks.
 
-    Returns (order, est_flops, max_elems). At every step the candidate
-    pair producing the smallest intermediate is contracted, with exact
-    ties broken uniformly at random; that tie noise is the only source of
-    variation between trials.
+    Returns the order. At every step the candidate pair producing the
+    smallest intermediate is contracted, with exact ties broken uniformly
+    at random; that tie noise is the only source of variation between
+    trials.
     """
     alive = dict(enumerate(masks))
-    next_id = len(masks)
     owners: dict[int, set] = {}
     for tid, mask in alive.items():
         mm = mask
@@ -202,8 +203,6 @@ def _greedy_path(masks, dims, uniform, rng):
             heapq.heappush(heap, (_mask_size(alive[ia] ^ alive[ib], dims, uniform),
                                   rng.random(), ia, ib, alive[ia], alive[ib]))
     order = []
-    est_flops = 0.0
-    max_elems = max((_mask_size(m, dims, uniform) for m in masks), default=1.0)
     while len(alive) > 1:
         cand = None
         while heap:
@@ -216,13 +215,10 @@ def _greedy_path(masks, dims, uniform, rng):
             ia, ib = sorted(alive)[:2]
             cand = (ia, ib, alive[ia], alive[ib])
         ia, ib, ma, mb = cand
-        est_flops += _mask_size(ma | mb, dims, uniform)
         new_mask = ma ^ mb
-        max_elems = max(max_elems, _mask_size(new_mask, dims, uniform))
+        tid = len(masks) + len(order)
         order.append((ia, ib))
         del alive[ia], alive[ib]
-        tid = next_id
-        next_id += 1
         alive[tid] = new_mask
         neighbors = set()
         mm = new_mask
@@ -239,7 +235,7 @@ def _greedy_path(masks, dims, uniform, rng):
             pa, pb = (tid, nb) if tid < nb else (nb, tid)
             heapq.heappush(heap, (_mask_size(new_mask ^ alive[nb], dims, uniform),
                                   rng.random(), pa, pb, alive[pa], alive[pb]))
-    return tuple(order), est_flops, max_elems
+    return tuple(order)
 
 
 def _network_masks(network: TensorNetwork):
@@ -254,8 +250,39 @@ def _network_masks(network: TensorNetwork):
                 dims.append(int(dim))
             mask |= 1 << label_bits[lab]
         masks.append(mask)
-    uniform = dims[0] if dims and len(set(dims)) == 1 else None
+    uniform = float(dims[0]) if dims and len(set(dims)) == 1 else None
     return masks, dims, uniform
+
+
+def _replay(masks, order):
+    """Walk a plan over tensors given as label bitmasks, yielding
+    (ia, ib, union_mask, out_mask) per step; the result takes the next free
+    id. A step that names a dead or unknown id, or a plan that leaves more
+    than one tensor, raises ContractViolationError."""
+    alive = dict(enumerate(masks))
+    next_id = len(masks)
+    for ia, ib in order:
+        ma, mb = alive.pop(ia, None), alive.pop(ib, None)
+        if ma is None or mb is None:
+            raise ContractViolationError(f"plan step ({ia}, {ib}) names a dead tensor")
+        out = alive[next_id] = ma ^ mb
+        next_id += 1
+        yield ia, ib, ma | mb, out
+    if len(alive) != 1:
+        raise ContractViolationError("plan does not contract the network fully")
+
+
+def _plan_cost(masks, order, dims, uniform) -> tuple[float, float]:
+    """(est_flops, max_elems) of a plan: one multiply-add per element of
+    each step's index union, and the largest tensor, inputs included."""
+    flops = 0.0
+    max_elems = max((_mask_size(m, dims, uniform) for m in masks), default=1.0)
+    for _, _, union, out in _replay(masks, order):
+        flops += _mask_size(union, dims, uniform)
+        elems = _mask_size(out, dims, uniform)
+        if elems > max_elems:
+            max_elems = elems
+    return flops, max_elems
 
 
 def contraction_cost(network: TensorNetwork, trials: int, seed) -> ContractionPlan:
@@ -269,12 +296,10 @@ def contraction_cost(network: TensorNetwork, trials: int, seed) -> ContractionPl
     if trials < 1:
         raise ContractViolationError(f"trials must be >= 1, got {trials}")
     masks, dims, uniform = _network_masks(network)
-    children = np.random.SeedSequence(seed).spawn(trials) \
-        if not isinstance(seed, np.random.SeedSequence) else seed.spawn(trials)
     best = None
-    for child in children:
-        order, flops, elems = _greedy_path(masks, dims, uniform,
-                                           np.random.default_rng(child))
+    for child in _seed_sequence(seed).spawn(trials):
+        order = _greedy_path(masks, dims, uniform, np.random.default_rng(child))
+        flops, elems = _plan_cost(masks, order, dims, uniform)
         if best is None or (flops, elems) < (best.est_flops, best.max_tensor_elems):
             best = ContractionPlan(order, flops, elems)
     return best
@@ -284,22 +309,7 @@ def replay_cost(network: TensorNetwork, plan: ContractionPlan) -> tuple[float, f
     """Symbolically replay a plan, returning (est_flops, max_elems);
     validates that the order is a full contraction of this network."""
     masks, dims, uniform = _network_masks(network)
-    alive = dict(enumerate(masks))
-    next_id = len(masks)
-    flops = 0.0
-    max_elems = max((_mask_size(m, dims, uniform) for m in masks), default=1.0)
-    for ia, ib in plan.order:
-        if ia not in alive or ib not in alive:
-            raise ContractViolationError(f"plan step ({ia}, {ib}) names a dead tensor")
-        flops += _mask_size(alive[ia] | alive[ib], dims, uniform)
-        out = alive[ia] ^ alive[ib]
-        max_elems = max(max_elems, _mask_size(out, dims, uniform))
-        del alive[ia], alive[ib]
-        alive[next_id] = out
-        next_id += 1
-    if len(alive) != 1:
-        raise ContractViolationError("plan does not contract the network fully")
-    return flops, max_elems
+    return _plan_cost(masks, plan.order, dims, uniform)
 
 
 def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
@@ -315,35 +325,23 @@ def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
     """
     if plan is None:
         plan = contraction_cost(network, trials=1, seed=seed)
-    alive = {i: (t.labels, t.values) for i, t in enumerate(network.tensors)}
-    next_id = len(network.tensors)
+    masks, dims, uniform = _network_masks(network)
+    # indexed by tensor id: step k appends its result at T + k
+    tensors = [(t.labels, t.values) for t in network.tensors]
     ops = 0.0
-    for ia, ib in plan.order:
-        if ia not in alive or ib not in alive:
-            raise ContractViolationError(f"plan step ({ia}, {ib}) names a dead tensor")
-        (la, va), (lb, vb) = alive.pop(ia), alive.pop(ib)
-        shared = [lab for lab in la if lab in lb]
-        out_labels = tuple(q for q in la if q not in shared) + \
-            tuple(q for q in lb if q not in shared)
-        out_elems = float(np.prod([dim for lab, dim in zip(la, va.shape)
-                                   if lab not in shared]
-                                  + [dim for lab, dim in zip(lb, vb.shape)
-                                     if lab not in shared], dtype=float))
+    for ia, ib, union, out in _replay(masks, plan.order):
+        out_elems = _mask_size(out, dims, uniform)
         if out_elems > memory_guard:
             raise ResourceLimitError(
                 f"intermediate of {out_elems:.3e} elements exceeds the "
                 f"memory guard of {memory_guard:.3e}")
-        axes_a = [la.index(lab) for lab in shared]
-        axes_b = [lb.index(lab) for lab in shared]
-        ops += out_elems * float(np.prod([va.shape[ax] for ax in axes_a], dtype=float))
-        value = np.tensordot(va, vb, axes=(axes_a, axes_b))
-        alive[next_id] = (out_labels, value)
-        next_id += 1
-    if len(alive) != 1:
-        raise ContractViolationError("plan does not contract the network fully")
-    labels, value = next(iter(alive.values()))
-    if labels:
-        result = value
-    else:
-        result = complex(value)
+        ops += _mask_size(union, dims, uniform)
+        (la, va), (lb, vb) = tensors[ia], tensors[ib]
+        tensors[ia] = tensors[ib] = None
+        shared = [lab for lab in la if lab in lb]
+        value = np.tensordot(va, vb, axes=([la.index(lab) for lab in shared],
+                                           [lb.index(lab) for lab in shared]))
+        tensors.append((tuple(q for q in (*la, *lb) if q not in shared), value))
+    labels, value = tensors[-1]
+    result = value if labels else complex(value)
     return (result, ops) if count_ops else result

@@ -15,15 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError
-from .matrices import as_rng, ginibre, haar_isometry
+from .matrices import _seed_sequence, as_rng, ginibre, haar_isometry
 
 ENSEMBLE_KINDS = ("haar_sub", "gaussian", "coe_sub", "gaussian_sym")
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,14 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """Accept an integer seed or a SeedSequence and return a SeedSequence,
+    the parent of the nested child seeds that sample lists spawn."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
+
+
 def ginibre(n: int, k: int, variance: float, seed) -> np.ndarray:
     """n x k matrix of i.i.d. complex normal entries, mean 0, variance
     ``variance`` (real and imaginary parts carry variance/2 each)."""

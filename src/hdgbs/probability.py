@@ -31,13 +31,17 @@ PATTERN_BUDGET = 10 ** 7
 
 @dataclass(frozen=True)
 class PhotonNumberDist:
-    """Probability mass over the total photon count 0..n_max, in log space."""
+    """Probability mass over the total photon count 0..n_max, in log space.
+
+    ``modes``, ``r`` and ``eta`` record the source when it is known; a
+    law read back from a file has none. With ``eta`` 1.0 (lossless) the
+    law may carry no odd-count mass."""
 
     log_probs: np.ndarray = field(repr=False)
     n_max: int
-    modes: int
-    r: object          # scalar squeezing or a per-mode tuple
-    eta: float
+    modes: int | None = None
+    r: object = None          # scalar squeezing or a per-mode tuple
+    eta: float | None = None
 
     def __post_init__(self):
         lp = np.asarray(self.log_probs, dtype=float)
@@ -179,12 +183,12 @@ def total_dist_convolution(r_vec, eta: float, n_max: int) -> PhotonNumberDist:
     if np.any(r < 0):
         raise ContractViolationError("squeezing parameters must be >= 0")
     _check_eta(eta)
+    r_param = float(r[0]) if np.all(r == r[0]) else tuple(float(x) for x in r)
     # eta = 0 maps every count to zero regardless of the pre-thinning tail,
     # so short-circuit to the exact point mass
     if eta == 0.0:
         lp = np.full(n_max + 1, NEG_INF)
         lp[0] = 0.0
-        r_param = float(r[0]) if np.all(r == r[0]) else tuple(float(x) for x in r)
         return PhotonNumberDist(lp, n_max, len(r), r_param, 0.0)
     thin = binomial_thinning_matrix(eta, n_max)
     total = np.zeros(n_max + 1)
@@ -199,7 +203,6 @@ def total_dist_convolution(r_vec, eta: float, n_max: int) -> PhotonNumberDist:
         total = np.convolve(total, cache[key])[: n_max + 1]
     with np.errstate(divide="ignore"):
         lp = np.log(total)
-    r_param = float(r[0]) if np.all(r == r[0]) else tuple(float(x) for x in r)
     return PhotonNumberDist(lp, n_max, len(r), r_param, float(eta))
 
 

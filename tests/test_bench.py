@@ -133,6 +133,11 @@ def test_residual_trend_pvalue():
     assert residual_trend_pvalue(np.zeros(6)) == 1.0
 
 
+def test_residual_trend_pvalue_floor_at_eleven_sizes():
+    # 11 residuals pair into 5 signs: the smallest two-sided p is 2^(1-5)
+    assert residual_trend_pvalue(np.arange(11.0)) == 0.0625
+
+
 def test_fit_residuals_are_centered():
     model = fit_cost_model(_synthetic_records(1e-10, range(16, 34, 2)))
     res = fit_residuals(_synthetic_records(1e-10, range(16, 34, 2)), model)

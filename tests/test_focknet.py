@@ -121,13 +121,39 @@ def test_cost_grows_with_lattice_size():
     assert plans[1].max_tensor_elems >= plans[0].max_tensor_elems
 
 
-def test_replay_cost_matches_plan():
+def _vacuum_net_11():
     inst = build_instance(0.3, 2, 2, 1, seed=11)
-    net = build_network(inst, cutoff=3, pattern=[0] * 4)
+    return build_network(inst, cutoff=3, pattern=[0] * 4)
+
+
+def test_replay_cost_matches_plan():
+    net = _vacuum_net_11()
     plan = contraction_cost(net, trials=4, seed=12)
     flops, elems = replay_cost(net, plan)
     assert flops == plan.est_flops
     assert elems == plan.max_tensor_elems
+
+
+def test_plan_search_is_reproducible():
+    # 13 tensors; the values come from the search at a fixed seed
+    plan = contraction_cost(_vacuum_net_11(), trials=4, seed=12)
+    assert plan.order == ((7, 9), (11, 13), (2, 5), (1, 4), (0, 16), (14, 17),
+                          (15, 18), (6, 19), (3, 20), (8, 21), (10, 22), (12, 23))
+    assert plan.est_flops == 768.0
+
+
+@pytest.mark.parametrize("replay", [replay_cost, contract])
+@pytest.mark.parametrize("cut, message", [
+    (lambda order: order[:1], "does not contract the network fully"),
+    (lambda order: order[:1] * 2, "names a dead tensor"),
+    (lambda order: ((0, 0),), "names a dead tensor"),
+], ids=["stops-early", "repeats-step", "merges-with-itself"])
+def test_bad_plan_is_rejected(replay, cut, message):
+    net = _vacuum_net_11()
+    plan = contraction_cost(net, trials=4, seed=12)
+    bad = ContractionPlan(cut(plan.order), plan.est_flops, plan.max_tensor_elems)
+    with pytest.raises(ContractViolationError, match=message):
+        replay(net, bad)
 
 
 def test_contract_counts_match_symbolic_estimate():

@@ -171,6 +171,12 @@ def test_dist_type_rejects_odd_mass_when_lossless():
         PhotonNumberDist(lp, 1, 1, 0.5, 1.0)
 
 
+def test_dist_type_metadata_is_optional():
+    # a law read back from a file has no known source: no lossless check
+    dist = PhotonNumberDist(np.log(np.array([0.6, 0.4])), 1)
+    assert (dist.modes, dist.r, dist.eta) == (None, None, None)
+
+
 # ------------------------------------------------------- most probable n
 
 def test_most_probable_even_reference():
