@@ -3,9 +3,13 @@
 Subcommands: haf, prob, instance (new | lossbudget), photondist,
 hiding (spectra | scan), tn (cost | contract), bench (run | fit |
 extrapolate | sample-cost). Every command is a pure pipeline: identical
-inputs and seed produce byte-identical output files. Exit codes: 0 on
-success, 2 on contract violations and on files that cannot be read or
-written or hold malformed JSON, 3 on resource guards.
+inputs and seed produce byte-identical output files. Each subcommand
+takes ``--out``, and ``--seed`` or ``--threads`` only where its handler
+reads them. Every input file is read through ``_load``, so a file that
+parses but lacks a field or holds a wrong type is a one-line contract
+violation naming the file. Exit codes: 0 on success, 2 on usage errors,
+contract violations and files that cannot be read or written, hold
+malformed JSON or are malformed, 3 on resource guards.
 """
 
 import argparse
@@ -43,9 +47,54 @@ def _parse_pattern(text: str) -> list[int]:
         raise ContractViolationError(f"bad pattern {text!r}: {exc}") from exc
 
 
+def _load(path: str, parse):
+    """``parse(path)``, for every input file the CLI reads.
+
+    A file that parses but lacks a field or holds a wrong type or value
+    makes ``parse`` raise KeyError, TypeError or ValueError (a contract
+    violation included); that becomes one ContractViolationError naming
+    the file. Unreadable files and malformed JSON keep their own errors.
+    """
+    try:
+        return parse(path)
+    except json.JSONDecodeError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ContractViolationError(f"malformed {path}: {detail}") from exc
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read_csv(path: str, header: str) -> list[list[str]]:
+    """Data rows of a CSV file whose first line is ``header``; blank lines
+    are skipped and every row must have as many fields as the header."""
+    names = header.split(",")
+    rows = []
+    with open(path) as fh:
+        found = fh.readline().strip().split(",")
+        if found != names:
+            raise ValueError(f"header {found}, expected {names}")
+        for line in map(str.strip, fh):
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != len(names):
+                raise ValueError(f"row {line!r} has {len(fields)} fields, "
+                                 f"expected {len(names)}")
+            rows.append(fields)
+    return rows
+
+
+def _read_matrix(path: str) -> np.ndarray:
+    return matrix_from_json(_read_json(path))
+
+
 def _cmd_haf(args) -> None:
-    with open(args.infile) as fh:
-        mat = matrix_from_json(json.load(fh))
+    mat = _load(args.infile, _read_matrix)
     if args.method == "enum":
         value = hafnian_enum(mat)
     else:
@@ -54,7 +103,7 @@ def _cmd_haf(args) -> None:
 
 
 def _cmd_prob(args) -> None:
-    inst = circuit.load_instance(args.instance)
+    inst = _load(args.instance, circuit.load_instance)
     pattern = _parse_pattern(args.pattern)
     a = circuit.adjacency(inst)
     r_vec = np.full(inst.modes, inst.r)
@@ -101,17 +150,21 @@ def _cmd_hiding_spectra(args) -> None:
     _write(args.out, "\n".join(lines) + "\n")
 
 
-def _cmd_hiding_scan(args) -> None:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+def _read_scan_config(path: str):
+    """(pairs, samples, bins) of a scan config. Each object is indexed
+    before ``.get`` is called on it, so one that is not a JSON object
+    fails with TypeError."""
+    cfg = _read_json(path)
     pairs = []
     for row in cfg["pairs"]:
-        kind_a = row.get("kind_a", "coe_sub")
-        kind_b = row.get("kind_b", "gaussian_sym")
-        pairs.append((hiding.EnsembleSpec(kind_a, row["M"], row["N"], row["K"]),
-                      hiding.EnsembleSpec(kind_b, row["M"], row["N"], row["K"])))
-    samples = int(cfg.get("samples", 1000))
-    bins = int(cfg.get("bins", 60))
+        m, n, k = row["M"], row["N"], row["K"]
+        pairs.append((hiding.EnsembleSpec(row.get("kind_a", "coe_sub"), m, n, k),
+                      hiding.EnsembleSpec(row.get("kind_b", "gaussian_sym"), m, n, k)))
+    return pairs, int(cfg.get("samples", 1000)), int(cfg.get("bins", 60))
+
+
+def _cmd_hiding_scan(args) -> None:
+    pairs, samples, bins = _load(args.config, _read_scan_config)
     rows = hiding.hiding_scan(pairs, samples, bins, args.seed)
     lines = ["M,N,K,samples,bins,tv"]
     for row in rows:
@@ -121,7 +174,7 @@ def _cmd_hiding_scan(args) -> None:
 
 
 def _cmd_tn_cost(args) -> None:
-    inst = circuit.load_instance(args.instance)
+    inst = _load(args.instance, circuit.load_instance)
     pattern = _parse_pattern(args.pattern) if args.pattern else [0] * inst.modes
     network = focknet.build_network(inst, args.cutoff, pattern)
     plan = focknet.contraction_cost(network, args.trials, args.seed)
@@ -131,7 +184,7 @@ def _cmd_tn_cost(args) -> None:
 
 
 def _cmd_tn_contract(args) -> None:
-    inst = circuit.load_instance(args.instance)
+    inst = _load(args.instance, circuit.load_instance)
     pattern = _parse_pattern(args.pattern)
     network = focknet.build_network(inst, args.cutoff, pattern)
     plan = focknet.contraction_cost(network, args.trials, args.seed)
@@ -150,19 +203,19 @@ def _cmd_bench_run(args) -> None:
     _write(args.out, "\n".join(lines) + "\n")
 
 
-def _read_bench_csv(path: str) -> list[bench_mod.BenchRecord]:
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["n", "wall_seconds", "reps", "threads"]:
-            raise ContractViolationError(f"unexpected bench header {header}")
-        for line in fh:
-            if not line.strip():
-                continue
-            n, wall, reps, threads = line.strip().split(",")
-            records.append(bench_mod.BenchRecord(int(n), float(wall), int(reps),
-                                                 int(threads)))
-    return records
+def _read_bench(path: str) -> list[bench_mod.BenchRecord]:
+    rows = _read_csv(path, "n,wall_seconds,reps,threads")
+    return [bench_mod.BenchRecord(int(n), float(wall), int(reps), int(threads))
+            for n, wall, reps, threads in rows]
+
+
+def _read_dist(path: str) -> probability.PhotonNumberDist:
+    log_probs = []
+    for n, (idx, _, lp) in enumerate(_read_csv(path, "n,prob,log_prob")):
+        if int(idx) != n:
+            raise ContractViolationError("distribution rows must be consecutive")
+        log_probs.append(float(lp))
+    return probability.PhotonNumberDist(np.asarray(log_probs), len(log_probs) - 1)
 
 
 def _model_to_json(model: bench_mod.CostModel) -> str:
@@ -170,67 +223,54 @@ def _model_to_json(model: bench_mod.CostModel) -> str:
                        "machine_label": model.machine_label})
 
 
-def _model_from_json(path: str) -> bench_mod.CostModel:
-    with open(path) as fh:
-        obj = json.load(fh)
+def _read_model(path: str) -> bench_mod.CostModel:
+    obj = _read_json(path)
     return bench_mod.CostModel(c=float(obj["c"]), r_squared=float(obj["r_squared"]),
                                machine_label=str(obj["machine_label"]))
 
 
 def _cmd_bench_fit(args) -> None:
-    records = _read_bench_csv(args.infile)
+    records = _load(args.infile, _read_bench)
     model = bench_mod.fit_cost_model(records, machine_label=args.label)
     _write(args.out, _model_to_json(model) + "\n")
 
 
 def _cmd_bench_extrapolate(args) -> None:
-    model = _model_from_json(args.model)
+    model = _load(args.model, _read_model)
     scaled = bench_mod.extrapolate(model, args.rmax_ratio, machine_label=args.label)
     _write(args.out, _model_to_json(scaled) + "\n")
 
 
 def _cmd_bench_sample_cost(args) -> None:
-    if args.model:
-        model = _model_from_json(args.model)
-    elif args.c:
-        model = bench_mod.CostModel(c=args.c, r_squared=1.0, machine_label="given")
+    if args.model is not None:
+        model = _load(args.model, _read_model)
     else:
-        raise ContractViolationError("provide --model or --c")
-    log_probs, n = [], 0
-    with open(args.dist) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["n", "prob", "log_prob"]:
-            raise ContractViolationError(f"unexpected distribution header {header}")
-        for line in fh:
-            if not line.strip():
-                continue
-            idx, _, lp = line.strip().split(",")
-            if int(idx) != n:
-                raise ContractViolationError("distribution rows must be consecutive")
-            log_probs.append(float(lp))
-            n += 1
-    dist = probability.PhotonNumberDist(np.asarray(log_probs), n - 1)
+        model = bench_mod.CostModel(c=args.c, r_squared=1.0, machine_label="given")
+    dist = _load(args.dist, _read_dist)
     seconds, n_cut = bench_mod.sample_time_estimate(dist, model, args.overhead,
                                                     args.p_min)
     _write(args.out, json.dumps({"seconds": seconds, "n_cut": n_cut}) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--out", default=None)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
 
     parser = argparse.ArgumentParser(prog="hdgbs",
                                      description="High-dimensional GBS toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("haf", parents=[common], help="Hafnian of a matrix JSON file")
+    p = sub.add_parser("haf", parents=[threads, out],
+                       help="Hafnian of a matrix JSON file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", choices=["fast", "enum"], default="fast")
     p.set_defaults(func=_cmd_haf)
 
-    p = sub.add_parser("prob", parents=[common],
+    p = sub.add_parser("prob", parents=[threads, out],
                        help="outcome probability for an instance and pattern")
     p.add_argument("--instance", required=True)
     p.add_argument("--pattern", required=True)
@@ -238,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     inst = sub.add_parser("instance", help="build instances, evaluate loss budgets")
     inst_sub = inst.add_subparsers(dest="subcommand", required=True)
-    p = inst_sub.add_parser("new", parents=[common])
+    p = inst_sub.add_parser("new", parents=[seed, out])
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--C", type=int, required=True)
     p.set_defaults(func=_cmd_instance_new)
-    p = inst_sub.add_parser("lossbudget", parents=[common])
+    p = inst_sub.add_parser("lossbudget", parents=[out])
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--C", type=int, required=True)
@@ -254,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["copies", "recirculator"], default="copies")
     p.set_defaults(func=_cmd_instance_lossbudget)
 
-    p = sub.add_parser("photondist", parents=[common],
+    p = sub.add_parser("photondist", parents=[out],
                        help="total photon-number distribution CSV")
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
@@ -265,26 +305,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     hid = sub.add_parser("hiding", help="random-matrix ensemble comparisons")
     hid_sub = hid.add_subparsers(dest="subcommand", required=True)
-    p = hid_sub.add_parser("spectra", parents=[common])
+    p = hid_sub.add_parser("spectra", parents=[seed, out])
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--bins", type=int, default=60)
     p.set_defaults(func=_cmd_hiding_spectra)
-    p = hid_sub.add_parser("scan", parents=[common])
+    p = hid_sub.add_parser("scan", parents=[seed, out])
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_hiding_scan)
 
     tn = sub.add_parser("tn", help="tensor-network cost estimation and contraction")
     tn_sub = tn.add_subparsers(dest="subcommand", required=True)
-    p = tn_sub.add_parser("cost", parents=[common])
+    p = tn_sub.add_parser("cost", parents=[seed, out])
     p.add_argument("--instance", required=True)
     p.add_argument("--cutoff", type=int, default=4)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--pattern", default=None)
     p.set_defaults(func=_cmd_tn_cost)
-    p = tn_sub.add_parser("contract", parents=[common])
+    p = tn_sub.add_parser("contract", parents=[seed, out])
     p.add_argument("--instance", required=True)
     p.add_argument("--cutoff", type=int, default=12)
     p.add_argument("--pattern", required=True)
@@ -294,23 +334,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="cost-model benchmarking")
     ben_sub = ben.add_subparsers(dest="subcommand", required=True)
-    p = ben_sub.add_parser("run", parents=[common])
+    p = ben_sub.add_parser("run", parents=[seed, threads, out])
     p.add_argument("--sizes", required=True, help="comma-separated even sizes")
     p.add_argument("--reps", type=int, default=3)
     p.set_defaults(func=_cmd_bench_run)
-    p = ben_sub.add_parser("fit", parents=[common])
+    p = ben_sub.add_parser("fit", parents=[out])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--label", default="local")
     p.set_defaults(func=_cmd_bench_fit)
-    p = ben_sub.add_parser("extrapolate", parents=[common])
+    p = ben_sub.add_parser("extrapolate", parents=[out])
     p.add_argument("--model", required=True)
     p.add_argument("--rmax-ratio", type=float, required=True)
     p.add_argument("--label", default=None)
     p.set_defaults(func=_cmd_bench_extrapolate)
-    p = ben_sub.add_parser("sample-cost", parents=[common])
+    p = ben_sub.add_parser("sample-cost", parents=[out])
     p.add_argument("--dist", required=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--c", type=float, default=None)
+    model = p.add_mutually_exclusive_group(required=True)
+    model.add_argument("--model")
+    model.add_argument("--c", type=float)
     p.add_argument("--overhead", type=float, default=100.0)
     p.add_argument("--p-min", type=float, default=1e-7)
     p.set_defaults(func=_cmd_bench_sample_cost)
@@ -319,8 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # usage error (2) or --help (0)
+        return exc.code
     try:
         args.func(args)
     except ContractViolationError as exc:

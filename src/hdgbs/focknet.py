@@ -329,18 +329,20 @@ def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
     # indexed by tensor id: step k appends its result at T + k
     tensors = [(t.labels, t.values) for t in network.tensors]
     ops = 0.0
-    for ia, ib, union, out in _replay(masks, plan.order):
+    for ia, ib, _, out in _replay(masks, plan.order):
         out_elems = _mask_size(out, dims, uniform)
         if out_elems > memory_guard:
             raise ResourceLimitError(
                 f"intermediate of {out_elems:.3e} elements exceeds the "
                 f"memory guard of {memory_guard:.3e}")
-        ops += _mask_size(union, dims, uniform)
         (la, va), (lb, vb) = tensors[ia], tensors[ib]
         tensors[ia] = tensors[ib] = None
         shared = [lab for lab in la if lab in lb]
-        value = np.tensordot(va, vb, axes=([la.index(lab) for lab in shared],
-                                           [lb.index(lab) for lab in shared]))
+        axes_a = [la.index(lab) for lab in shared]
+        value = np.tensordot(va, vb, axes=(axes_a, [lb.index(lab) for lab in shared]))
+        # realized work, read from the arrays: one multiply-add per output
+        # element and per combination of the contracted axes
+        ops += float(value.size * math.prod(va.shape[ax] for ax in axes_a))
         tensors.append((tuple(q for q in (*la, *lb) if q not in shared), value))
     labels, value = tensors[-1]
     result = value if labels else complex(value)

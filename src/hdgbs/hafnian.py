@@ -16,8 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ContractViolationError, ResourceLimitError
-from .matrices import assert_symmetric
+from .errors import ResourceLimitError
+from .matrices import _square, assert_symmetric
 
 ENUM_LIMIT = 14           # (N-1)!! matchings; 14 -> 135135 terms
 PERMANENT_LIMIT = 16
@@ -36,9 +36,7 @@ def hafnian_enum(b: np.ndarray, limit: int = ENUM_LIMIT) -> complex:
     inputs above ``limit`` are refused rather than allowed to crawl.
     The 0 x 0 Hafnian is 1 and any odd size gives 0.
     """
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {b.shape}")
+    b = _square(b, complex)
     n = b.shape[0]
     if n > limit:
         raise ResourceLimitError(
@@ -135,9 +133,7 @@ def hafnian_fast(b: np.ndarray, workers: int | None = None,
     subset chunks over a thread pool; the reduction order is fixed, so
     the result does not depend on the worker count.
     """
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {b.shape}")
+    b = _square(b, complex)
     n = b.shape[0]
     if n > ceiling:
         raise ResourceLimitError(f"size {n} exceeds the fast-path ceiling of {ceiling}")
@@ -171,9 +167,7 @@ def hafnian_fast(b: np.ndarray, workers: int | None = None,
 def permanent(g: np.ndarray, limit: int = PERMANENT_LIMIT) -> complex:
     """Permanent by Ryser's inclusion-exclusion formula with Gray-code
     column updates, O(2^n n) arithmetic."""
-    g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {g.shape}")
+    g = _square(g, complex)
     n = g.shape[0]
     if n > limit:
         raise ResourceLimitError(f"size {n} exceeds the permanent limit of {limit}")
@@ -200,7 +194,7 @@ def permanent_enum(g: np.ndarray, limit: int = 8) -> complex:
     """Permanent by brute force over all n! permutations (oracle)."""
     from itertools import permutations
 
-    g = np.asarray(g, dtype=complex)
+    g = _square(g, complex)
     n = g.shape[0]
     if n > limit:
         raise ResourceLimitError(f"factorial enumeration refused for n={n} > {limit}")
@@ -222,9 +216,7 @@ def permanent_via_hafnian(g: np.ndarray, workers: int | None = None) -> complex:
     nonzero product pair indices across the two blocks, which reproduces
     the permanent's permutation sum.
     """
-    g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {g.shape}")
+    g = _square(g, complex)
     n = g.shape[0]
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     block[:n, n:] = g

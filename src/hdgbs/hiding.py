@@ -9,6 +9,7 @@ distinguishable structure; closeness is measured as total-variation
 distance between pooled, binned spectra.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,6 +38,10 @@ class EnsembleSpec:
         if self.kind not in ENSEMBLE_KINDS:
             raise ContractViolationError(
                 f"unknown ensemble kind {self.kind!r}, expected one of {ENSEMBLE_KINDS}")
+        if not all(isinstance(v, numbers.Integral) for v in (self.m, self.n, self.k)):
+            raise ContractViolationError(
+                f"M, N and K must be integers, got "
+                f"M={self.m!r}, N={self.n!r}, K={self.k!r}")
         if not 1 <= self.n <= self.k <= self.m:
             raise ContractViolationError(
                 f"need 1 <= N <= K <= M, got N={self.n}, K={self.k}, M={self.m}")

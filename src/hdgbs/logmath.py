@@ -7,20 +7,7 @@ is exponentiated as late as possible.
 
 import math
 
-import numpy as np
-
 NEG_INF = float("-inf")
-
-
-def logsumexp(values) -> float:
-    """log(sum(exp(values))) computed against the running maximum."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return NEG_INF
-    m = float(np.max(arr))
-    if m == NEG_INF:
-        return NEG_INF
-    return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
 def log_factorial(n: int) -> float:

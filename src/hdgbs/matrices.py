@@ -43,6 +43,14 @@ def ginibre(n: int, k: int, variance: float, seed) -> np.ndarray:
     return scale * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
 
 
+def _square(a, dtype=None) -> np.ndarray:
+    """``a`` as a square 2-D array; any other shape is a contract violation."""
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ContractViolationError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def haar_unitary(m: int, seed) -> np.ndarray:
     """Sample an m x m unitary from the Haar measure on U(m).
 
@@ -75,10 +83,8 @@ def reduce_by_pattern(a: np.ndarray, pattern) -> np.ndarray:
     N x N with N the pattern total. An all-zero pattern yields a 0 x 0
     matrix.
     """
-    a = np.asarray(a)
+    a = _square(a)
     counts = np.asarray(pattern, dtype=np.intp)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {a.shape}")
     if counts.ndim != 1 or counts.shape[0] != a.shape[0]:
         raise ContractViolationError(
             f"pattern length {counts.shape} does not match matrix size {a.shape[0]}")

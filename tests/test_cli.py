@@ -1,11 +1,13 @@
 """End-to-end tests of the command line front end."""
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hdgbs.cli import main
+from hdgbs.circuit import build_instance, instance_to_json
+from hdgbs.cli import build_parser, main
 from hdgbs.matrices import matrix_to_json
 
 
@@ -209,3 +211,116 @@ def test_exit_code_unwritable_output(tmp_path, capsys):
     assert run(["instance", "lossbudget", "--a", "2", "--D", "1", "--C", "1",
                 "--eta-bs", "0.9", "--eta-unit", "0.99", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("file error: ")
+
+
+def test_usage_error_returns_2(capsys):
+    # a flag the subcommand does not take is a usage error, returned
+    # rather than raised as SystemExit
+    assert run(["photondist", "--modes", "4", "--r", "0.5", "--nmax", "10",
+                "--seed", "1"]) == 2
+    assert run([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --seed 1" in captured.err
+
+
+# every subcommand's flags, so a flag its handler ignores cannot come back
+FLAGS = {
+    "haf": {"--in", "--method", "--threads", "--out"},
+    "prob": {"--instance", "--pattern", "--threads", "--out"},
+    "instance new": {"--r", "--a", "--D", "--C", "--seed", "--out"},
+    "instance lossbudget": {"--a", "--D", "--C", "--eta-bs", "--eta-unit",
+                            "--eta-recirc", "--mode", "--out"},
+    "photondist": {"--modes", "--r", "--eta", "--nmax", "--method", "--out"},
+    "hiding spectra": {"--M", "--K", "--N", "--samples", "--bins", "--seed", "--out"},
+    "hiding scan": {"--config", "--seed", "--out"},
+    "tn cost": {"--instance", "--cutoff", "--trials", "--pattern", "--seed", "--out"},
+    "tn contract": {"--instance", "--cutoff", "--pattern", "--trials",
+                    "--memory-guard", "--seed", "--out"},
+    "bench run": {"--sizes", "--reps", "--seed", "--threads", "--out"},
+    "bench fit": {"--in", "--label", "--out"},
+    "bench extrapolate": {"--model", "--rmax-ratio", "--label", "--out"},
+    "bench sample-cost": {"--dist", "--model", "--c", "--overhead", "--p-min", "--out"},
+}
+
+
+def _subcommand_flags(parser, prefix=()):
+    subparsers = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    if subparsers:
+        for name, child in subparsers[0].choices.items():
+            yield from _subcommand_flags(child, prefix + (name,))
+    else:
+        yield " ".join(prefix), {opt for a in parser._actions for opt in a.option_strings
+                                 if not isinstance(a, argparse._HelpAction)}
+
+
+def test_each_subcommand_takes_only_its_flags():
+    assert dict(_subcommand_flags(build_parser())) == FLAGS
+
+
+def _dist_csv(tmp_path):
+    path = tmp_path / "dist.csv"
+    assert run(["photondist", "--modes", "8", "--r", "0.6", "--eta", "0.5",
+                "--nmax", "40", "--out", str(path)]) == 0
+    return path
+
+
+def test_sample_cost_model_and_c_exclude_each_other(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"c": 1e-12, "r_squared": 1.0, "machine_label": "m"}))
+    assert run(["bench", "sample-cost", "--dist", str(_dist_csv(tmp_path)),
+                "--model", str(model), "--c", "1e-12"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_sample_cost_zero_constant_is_named(tmp_path, capsys):
+    assert run(["bench", "sample-cost", "--dist", str(_dist_csv(tmp_path)),
+                "--c", "0"]) == 2
+    assert capsys.readouterr().err == ("contract violation: "
+                                       "model constant must be positive\n")
+
+
+def _instance_obj(**changes):
+    obj = instance_to_json(build_instance(0.3, 2, 2, 1, seed=7))
+    obj.update(changes)
+    return obj
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+MODEL = {"c": 1e-9, "r_squared": 0.99, "machine_label": "desk"}
+DIST_ROWS = "n,prob,log_prob\n0,0.5,-0.6931471805599453\n"
+BENCH_ROWS = "n,wall_seconds,reps,threads\n14,0.001,1,1\n"
+
+# (input format, command with the file as {}, missing-field content,
+# wrong-type content)
+MALFORMED = [
+    ("scan config", ["hiding", "scan", "--config", "{}"],
+     json.dumps({"samples": 10}), json.dumps({"pairs": [[25, 3, 25]]})),
+    ("model", ["bench", "extrapolate", "--model", "{}", "--rmax-ratio", "2"],
+     json.dumps(_without(MODEL, "r_squared")), json.dumps({**MODEL, "c": "fast"})),
+    ("matrix", ["haf", "--in", "{}"],
+     json.dumps({"rows": 2, "cols": 2, "re": [0, 1, 1, 0]}), json.dumps([1, 2])),
+    ("instance", ["prob", "--instance", "{}", "--pattern", "0,0,0,0"],
+     json.dumps(_without(_instance_obj(), "gates")), json.dumps(_instance_obj(gates=5))),
+    ("distribution CSV", ["bench", "sample-cost", "--dist", "{}", "--c", "1e-12"],
+     DIST_ROWS + "1,0.25\n", DIST_ROWS + "1,0.25,abc\n"),
+    ("bench CSV", ["bench", "fit", "--in", "{}"],
+     BENCH_ROWS + "16,0.004,1\n", BENCH_ROWS + "16,abc,1,1\n"),
+]
+
+
+@pytest.mark.parametrize("fault", ["missing field", "wrong type"])
+@pytest.mark.parametrize("fmt,argv,missing,wrong", MALFORMED,
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_file_exits_2(tmp_path, capsys, fmt, argv, missing, wrong,
+                                      fault):
+    path = tmp_path / "input"
+    path.write_text(missing if fault == "missing field" else wrong)
+    assert run([str(path) if a == "{}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"contract violation: malformed {path}: ")
+    assert captured.err.count("\n") == 1

@@ -10,7 +10,7 @@ import pytest
 from hdgbs.errors import ContractViolationError, ResourceLimitError
 from hdgbs.hafnian import (hafnian_enum, hafnian_fast, permanent,
                            permanent_enum, permanent_via_hafnian)
-from hdgbs.matrices import random_symmetric
+from hdgbs.matrices import random_symmetric, reduce_by_pattern
 
 
 def test_hafnian_empty_matrix_is_one():
@@ -111,6 +111,17 @@ def test_permanent_matches_factorial_enumeration():
 def test_permanent_rejects_non_square():
     with pytest.raises(ContractViolationError):
         permanent(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,)])
+@pytest.mark.parametrize("engine", [
+    hafnian_enum, hafnian_fast, permanent, permanent_enum, permanent_via_hafnian,
+    lambda a: reduce_by_pattern(a, [1] * a.shape[0])],
+    ids=["hafnian_enum", "hafnian_fast", "permanent", "permanent_enum",
+         "permanent_via_hafnian", "reduce_by_pattern"])
+def test_matrix_engines_reject_non_square(engine, shape):
+    with pytest.raises(ContractViolationError, match="expected a square matrix"):
+        engine(np.ones(shape))
 
 
 def test_permanent_resource_limit():

@@ -18,6 +18,8 @@ def test_spec_validation():
         EnsembleSpec("coe_sub", m=10, n=2, k=12)      # K > M
     with pytest.raises(ContractViolationError):
         EnsembleSpec("nonsense", m=10, n=2, k=5)
+    with pytest.raises(ContractViolationError, match="must be integers"):
+        EnsembleSpec("coe_sub", m=100.5, n=8, k=100)
 
 
 def test_coe_full_block_is_symmetric_unitary():
