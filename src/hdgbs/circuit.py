@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError
-from .matrices import (as_rng, assert_unitary, haar_isometry,
+from .matrices import (_json_int, as_rng, assert_unitary, haar_isometry,
                        matrix_from_json, matrix_to_json)
 
 MODE_LIMIT = 4096
@@ -147,10 +147,11 @@ class LossBudget:
     """Component transmissions of the delay-line architecture.
 
     ``eta_bs`` is the per-beam-splitter energy transmission, ``eta_unit``
-    the transmission per unit delay length, and ``eta_recirc`` (only used
-    in recirculator mode) the recirculation-loop transmission per unit
-    length. ``mode`` selects between building C physical copies of the
-    delay stack and rerouting through a single recirculation loop.
+    the transmission per unit delay length, and ``eta_recirc`` the
+    recirculation-loop transmission per unit length, required in
+    recirculator mode and rejected in copies mode, which never reads it.
+    ``mode`` selects between building C physical copies of the delay stack
+    and rerouting through a single recirculation loop.
     """
 
     eta_bs: float
@@ -170,6 +171,8 @@ class LossBudget:
             raise ContractViolationError(f"unknown loss mode {self.mode!r}")
         if self.mode == "recirculator" and self.eta_recirc is None:
             raise ContractViolationError("recirculator mode requires eta_recirc")
+        if self.mode == "copies" and self.eta_recirc is not None:
+            raise ContractViolationError("eta_recirc applies only in recirculator mode")
 
 
 def loss_budget(a: int, dim: int, cycles: int, budget: LossBudget) -> float:
@@ -229,11 +232,12 @@ def instance_from_json(obj: dict) -> GbsInstance:
     sees one circuit."""
     unitary = matrix_from_json(obj["unitary"])
     assert_unitary(unitary)
-    gates = tuple(Gate(int(g["i"]), int(g["j"]), matrix_from_json(g["v"]))
+    gates = tuple(Gate(_json_int(g["i"], "gate i"), _json_int(g["j"], "gate j"),
+                       matrix_from_json(g["v"]))
                   for g in obj["gates"])
-    inst = GbsInstance(r=float(obj["r"]), a=int(obj["a"]), dim=int(obj["D"]),
-                       cycles=int(obj["C"]), seed=int(obj["seed"]),
-                       gates=gates, unitary=unitary)
+    inst = GbsInstance(r=float(obj["r"]), a=_json_int(obj["a"], "a"),
+                       dim=_json_int(obj["D"], "D"), cycles=_json_int(obj["C"], "C"),
+                       seed=_json_int(obj["seed"], "seed"), gates=gates, unitary=unitary)
     m = inst.modes
     if unitary.shape != (m, m):
         raise ContractViolationError(

@@ -14,6 +14,7 @@ malformed JSON or are malformed, 3 on resource guards.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,10 +23,12 @@ from . import bench as bench_mod
 from . import circuit, focknet, hiding, probability
 from .errors import ContractViolationError, ResourceLimitError
 from .hafnian import hafnian_enum, hafnian_fast
-from .matrices import matrix_from_json
+from .matrices import _json_int, matrix_from_json
 
 EXIT_CONTRACT = 2
 EXIT_RESOURCE = 3
+DIST_PROB_RTOL = 1e-9   # a distribution row's prob must be exp(log_prob) to this
+                        # relative tolerance; ``photondist`` writes it exactly
 
 
 def _fmt(x: float) -> str:
@@ -160,7 +163,8 @@ def _read_scan_config(path: str):
         m, n, k = row["M"], row["N"], row["K"]
         pairs.append((hiding.EnsembleSpec(row.get("kind_a", "coe_sub"), m, n, k),
                       hiding.EnsembleSpec(row.get("kind_b", "gaussian_sym"), m, n, k)))
-    return pairs, int(cfg.get("samples", 1000)), int(cfg.get("bins", 60))
+    return (pairs, _json_int(cfg.get("samples", 1000), "samples"),
+            _json_int(cfg.get("bins", 60), "bins"))
 
 
 def _cmd_hiding_scan(args) -> None:
@@ -211,9 +215,14 @@ def _read_bench(path: str) -> list[bench_mod.BenchRecord]:
 
 def _read_dist(path: str) -> probability.PhotonNumberDist:
     log_probs = []
-    for n, (idx, _, lp) in enumerate(_read_csv(path, "n,prob,log_prob")):
+    for n, (idx, prob, lp) in enumerate(_read_csv(path, "n,prob,log_prob")):
         if int(idx) != n:
             raise ContractViolationError("distribution rows must be consecutive")
+        with np.errstate(over="ignore"):
+            expected = float(np.exp(float(lp)))
+        if not math.isclose(float(prob), expected, rel_tol=DIST_PROB_RTOL):
+            raise ContractViolationError(
+                f"row {n}: prob {prob} is not exp(log_prob) = {expected!r}")
         log_probs.append(float(lp))
     return probability.PhotonNumberDist(np.asarray(log_probs), len(log_probs) - 1)
 

@@ -159,8 +159,16 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer. A bool, a float such as 2.0 or any
+    other type is a contract violation rather than a silent truncation."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
     re, im = obj["re"], obj["im"]
     if len(re) != rows * cols or len(im) != rows * cols:
         raise ContractViolationError(

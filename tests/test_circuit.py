@@ -137,6 +137,13 @@ def test_adjacency_general_length_mismatch():
         adjacency_general(np.eye(3), [0.1, 0.2])
 
 
+def test_loss_budget_rejects_eta_recirc_in_copies_mode():
+    # copies mode never reads the loop transmission, so a value there is an error
+    with pytest.raises(ContractViolationError, match="recirculator mode"):
+        LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.5)
+    LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.5, mode="recirculator")
+
+
 def test_loss_budget_perfect_components():
     budget = LossBudget(eta_bs=1.0, eta_unit=1.0)
     assert loss_budget(6, 3, 1, budget) == 1.0

@@ -324,3 +324,57 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, fmt, argv, missing, wron
     assert captured.out == ""
     assert captured.err.startswith(f"contract violation: malformed {path}: ")
     assert captured.err.count("\n") == 1
+
+
+# A JSON integer field holding a float or a bool used to be truncated by
+# int(); one case per reader that takes integer fields.
+NON_INTEGER = [
+    ("scan config", ["hiding", "scan", "--config", "{}", "--seed", "3"],
+     {"samples": 30, "bins": 10.9, "pairs": [{"M": 25, "N": 3, "K": 25}]},
+     "bins must be an integer, got 10.9"),
+    ("instance", ["prob", "--instance", "{}", "--pattern", "0,0,0,0"],
+     _instance_obj(a=2.0), "a must be an integer, got 2.0"),
+    ("matrix", ["haf", "--in", "{}"],
+     {"rows": True, "cols": 1, "re": [1.0], "im": [0.0]},
+     "rows must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("fmt,argv,obj,message", NON_INTEGER,
+                         ids=[case[0] for case in NON_INTEGER])
+def test_non_integer_integer_field_exits_2(tmp_path, capsys, fmt, argv, obj, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert run([str(path) if a == "{}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"contract violation: malformed {path}: {message}\n"
+
+
+def test_lossbudget_eta_recirc_in_copies_mode_exits_2(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert run(["instance", "lossbudget", "--a", "6", "--D", "3", "--C", "1",
+                "--eta-bs", "0.9", "--eta-unit", "0.998", "--eta-recirc", "0.5",
+                "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: ") and err.count("\n") == 1
+
+
+def test_sample_cost_rejects_prob_column_that_is_not_exp_log_prob(tmp_path, capsys):
+    dist_path = tmp_path / "dist.csv"
+    assert run(["photondist", "--modes", "8", "--r", "0.6", "--eta", "0.5",
+                "--nmax", "40", "--out", str(dist_path)]) == 0
+    cost = ["bench", "sample-cost", "--c", "1e-12", "--overhead", "100",
+            "--p-min", "1e-7", "--dist"]
+    assert run(cost + [str(dist_path)]) == 0
+    header, *rows = dist_path.read_text().splitlines()
+    zeroed = tmp_path / "zeroed.csv"
+    zeroed.write_text("\n".join([header] + [f"{n},0.0,{lp}" for n, _, lp in
+                                            (row.split(",") for row in rows)]) + "\n")
+    capsys.readouterr()
+    assert run(cost + [str(zeroed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"contract violation: malformed {zeroed}: row 0: ")
+    assert captured.err.count("\n") == 1

@@ -4,11 +4,15 @@ The enumeration routine is the oracle: it is the defining sum over
 perfect matchings, so the fast path is validated against it rather than
 against any frozen constant.
 """
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdgbs.errors import ContractViolationError, ResourceLimitError
-from hdgbs.hafnian import (hafnian_enum, hafnian_fast, permanent,
+from hdgbs.hafnian import (_subset_chunks, hafnian_enum, hafnian_fast, permanent,
                            permanent_enum, permanent_via_hafnian)
 from hdgbs.matrices import random_symmetric, reduce_by_pattern
 
@@ -80,8 +84,14 @@ def test_hafnian_multilinearity_in_row_and_column():
 
 
 def test_hafnian_workers_bit_identical():
-    b = random_symmetric(12, seed=8)
-    assert hafnian_fast(b, workers=1) == hafnian_fast(b, workers=2)
+    # at n = 24 the 924 subsets of size 6 and the 792 of size 7 each span
+    # two chunks, so chunk boundaries inside one size are exercised too
+    sizes = [[s for s, _, _ in chunk] for chunk in _subset_chunks(12)]
+    assert any(a[-1] == b[0] for a, b in zip(sizes, sizes[1:]))
+    b = random_symmetric(24, seed=8)
+    serial = hafnian_fast(b, workers=1)
+    assert hafnian_fast(b, workers=2) == serial
+    assert hafnian_fast(b, workers=3) == serial
 
 
 def test_hafnian_scaling_invariance():
@@ -90,6 +100,106 @@ def test_hafnian_scaling_invariance():
     small = b / 1e6
     assert hafnian_fast(b) == pytest.approx(hafnian_fast(small) * (1e6) ** 4,
                                             rel=1e-10)
+
+
+# Exact references above the enumeration limit. The inclusion-exclusion sum
+# cancels terms far larger than the Hafnian, so its relative error grows
+# with N; each tolerance sits about ten times above the largest error
+# measured with the eigenvalue kernel and with the matrix-power kernel
+# (CHANGES lists both).
+
+
+def _matchings(n: int) -> int:
+    return math.prod(range(n - 1, 0, -2))          # (n-1)!!
+
+
+def _all_ones_cancellation(n: int) -> float:
+    """Sum of the magnitudes of the signed subset terms of the all-ones
+    Hafnian over its value: each size-s subset contributes
+    C(2m, m) / 4^m * (2s)^m, and they alternate in sign with m - s."""
+    m = n // 2
+    terms = sum(math.comb(m, s) * (2 * s) ** m for s in range(1, m + 1))
+    return terms * math.comb(2 * m, m) / 4 ** m / _matchings(n)
+
+
+@pytest.mark.parametrize("n", range(20, 34, 2))
+def test_hafnian_fast_rank_one_is_matchings_times_product(n):
+    rng = np.random.default_rng(n)
+    v = rng.uniform(0.5, 1.5, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    ref = _matchings(n) * np.prod(v)
+    assert abs(hafnian_fast(np.outer(v, v)) - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("n", range(20, 34, 2))
+def test_hafnian_fast_all_ones_counts_matchings(n):
+    # measured relative error / cancellation factor stays below 5e-15
+    # (3.2e-7 at N = 32, where the factor is 6.7e7)
+    ref = _matchings(n)
+    tol = 5e-14 * _all_ones_cancellation(n)
+    assert abs(hafnian_fast(np.ones((n, n))) - ref) <= tol * ref
+
+
+def test_hafnian_fast_block_diagonal_is_product_of_blocks():
+    blocks = [random_symmetric(10, seed=300 + i) for i in range(3)]
+    b = np.zeros((30, 30), dtype=complex)
+    for i, blk in enumerate(blocks):
+        b[10 * i:10 * i + 10, 10 * i:10 * i + 10] = blk
+    ref = np.prod([hafnian_enum(blk) for blk in blocks])
+    assert abs(hafnian_fast(b) - ref) <= 5e-7 * abs(ref)
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_permanent_via_hafnian_matches_ryser_at_large_n(n):
+    rng = np.random.default_rng(500 + n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    ref = permanent(g)
+    assert abs(permanent_via_hafnian(g) - ref) <= 2e-8 * abs(ref)
+
+
+_SMALL_EVEN = st.sampled_from([2, 4, 6, 8, 10, 12])
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _close(got: complex, ref: complex) -> bool:
+    return abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=_SMALL_EVEN, seed=_SEEDS)
+def test_hafnian_fast_invariant_under_simultaneous_permutation(n, seed):
+    b = random_symmetric(n, seed)
+    perm = np.random.default_rng(seed).permutation(n)
+    assert _close(hafnian_fast(b[np.ix_(perm, perm)]), hafnian_fast(b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=_SMALL_EVEN, seed=_SEEDS,
+       c=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0))
+def test_hafnian_fast_scales_as_c_to_the_m(n, seed, c):
+    b = random_symmetric(n, seed)
+    assert _close(hafnian_fast(c * b), c ** (n // 2) * hafnian_fast(b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=_SMALL_EVEN, seed=_SEEDS, data=st.data())
+def test_hafnian_fast_is_linear_in_one_row_and_column(n, seed, data):
+    # Haf is linear in the off-diagonal entries of row/column i (every
+    # matching uses exactly one of them), and the diagonal does not enter
+    i = data.draw(st.integers(0, n - 1))
+    b = random_symmetric(n, seed)
+    rng = np.random.default_rng(seed + 1)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    alpha, beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+
+    def with_row(vec):
+        out = b.copy()
+        out[i, :] = vec
+        out[:, i] = vec
+        return out
+
+    mixed = hafnian_fast(with_row(alpha * b[i] + beta * w))
+    ref = alpha * hafnian_fast(b) + beta * hafnian_fast(with_row(w))
+    assert _close(mixed, ref)
 
 
 def test_permanent_identity():
