@@ -19,10 +19,13 @@ because zgemm's cost per multiply-add falls as the blocks grow.
 The subsets are enumerated in a fixed canonical order (by size, then
 lexicographic) and their partial sums are reduced chunk by chunk in that
 order, so results are bit-identical whether run serially or on a thread
-pool.
+pool. When every subset fits one chunk (N <= 18), the gather offsets of
+the subsets are built once per size and reused by later calls.
 """
 
+import functools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, combinations, islice
 
@@ -73,13 +76,10 @@ def hafnian_enum(b: np.ndarray, limit: int = ENUM_LIMIT) -> complex:
 def _subset_chunks(m: int):
     """Yield the non-empty subsets of the m index pairs in canonical order
     (by size, then lexicographic), cut into chunks of at most ``_STACK``
-    matrix entries. A chunk is a list of (s, rows, cols) blocks of
-    consecutive size-s subsets; it may span several sizes, and its extent
-    depends only on m.
-
-    Row r of ``cols`` lists the 2s indices of one subset and row r of
-    ``rows`` the offsets of the rows of X B_S in the flattened 2m x 2m
-    matrix, where X swaps the two indices of each pair.
+    matrix entries. A chunk is a list of (count, 2s) arrays, one per run
+    of consecutive size-s subsets, and row r of such an array lists the 2s
+    matrix indices of one subset, each in [0, 2m); a chunk may span several
+    sizes, and its extent depends only on m.
     """
     pair_cols = np.arange(2 * m).reshape(m, 2)
     chunk, room = [], _STACK
@@ -94,24 +94,56 @@ def _subset_chunks(m: int):
             count = min(left, max(1, room // area))
             pairs = np.fromiter(chain.from_iterable(islice(combos, count)),
                                 dtype=np.intp, count=count * s)
-            cols = pair_cols[pairs].reshape(count, 2 * s)
-            chunk.append((s, (cols ^ 1) * (2 * m), cols))
+            chunk.append(pair_cols[pairs].reshape(count, 2 * s))
             room -= area * count
             left -= count
     yield chunk
 
 
-def _power_traces(flat: np.ndarray, m: int, rows: np.ndarray, cols: np.ndarray,
+def _gather_offsets(m: int, cols: np.ndarray) -> np.ndarray:
+    """Flat offsets of X B_S in the 2m x 2m matrix, one (2s, 2s) block per
+    row of ``cols``: row i of X B_S is row cols[i] ^ 1 of B, since X swaps
+    the two indices of each pair."""
+    return ((cols ^ 1) * (2 * m))[:, :, None] + cols[:, None, :]
+
+
+@functools.cache
+def _one_chunk_plan(m: int) -> list:
+    """Gather offsets of every subset when all of them fit one chunk.
+
+    They depend only on m, so they are built once per m and reused; at
+    N <= 18 enumerating the subsets and building their offsets would
+    otherwise be 15-30% of each call. Larger m streams its chunks.
+    """
+    (chunk,) = _subset_chunks(m)
+    return [_gather_offsets(m, cols) for cols in chunk]
+
+
+def _plan(m: int):
+    """Chunks of gather-offset blocks in canonical order (see
+    ``_subset_chunks``). The (2s)^2 entries of all 2^m - 1 subsets add up
+    to m (m + 1) 2^m, which fits one chunk for m <= 9."""
+    if m * (m + 1) * 2 ** m <= _STACK:
+        yield _one_chunk_plan(m)
+        return
+    for chunk in _subset_chunks(m):
+        yield [_gather_offsets(m, cols) for cols in chunk]
+
+
+def _power_traces(flat: np.ndarray, m: int, offsets: np.ndarray,
                   out: np.ndarray) -> None:
     """out[k-1] = tr((X B_S)^k) for k = 1..m, one column per subset.
 
     The powers up to ceil(m/2) come from stacked matmuls; a higher trace
     pairs the top power with a lower one, tr(P^h P^j) = vec((P^h)^T) . vec(P^j).
     """
-    count, d = cols.shape
+    count, d = offsets.shape[:2]
     half = (m + 1) // 2
     pows = np.empty((half, count, d, d), dtype=complex)
-    flat.take(rows[:, :, None] + cols[:, None, :], out=pows[0], mode="clip")
+    # every offset is in [0, 4m^2) by construction (each subset index lies
+    # in [0, 2m)); mode="clip" lets take write into pows[0] directly, where
+    # the default mode would gather into a temporary and copy it
+    flat.take(offsets, out=pows[0], mode="clip")
     for k in range(1, half):
         np.matmul(pows[k - 1], pows[0], out=pows[k])
     np.einsum("kbii->kb", pows, out=out[:half])
@@ -123,15 +155,16 @@ def _power_traces(flat: np.ndarray, m: int, rows: np.ndarray, cols: np.ndarray,
 
 def _chunk_sum(flat: np.ndarray, m: int, chunk: list) -> complex:
     """Signed sum of [x^m] det(I - x X B_S)^(-1/2) over one chunk of subsets,
-    with det(I - x A)^(-1/2) = exp(sum_k tr(A^k) x^k / (2k))."""
-    count = sum(len(cols) for _, _, cols in chunk)
+    given as blocks of gather offsets, with
+    det(I - x A)^(-1/2) = exp(sum_k tr(A^k) x^k / (2k))."""
+    count = sum(len(offsets) for offsets in chunk)
     tr = np.empty((m, count), dtype=complex)
     sign = np.empty(count)
     start = 0
-    for s, rows, cols in chunk:
-        stop = start + len(cols)
-        _power_traces(flat, m, rows, cols, tr[:, start:stop])
-        sign[start:stop] = -1.0 if (m - s) % 2 else 1.0
+    for offsets in chunk:
+        stop = start + len(offsets)
+        _power_traces(flat, m, offsets, tr[:, start:stop])
+        sign[start:stop] = -1.0 if (m - offsets.shape[1] // 2) % 2 else 1.0
         start = stop
     # power-series exponential, 2j c_j = sum_{k=1..j} tr_k c_{j-k}, with
     # c_j stored in rc[m-1-j] so that both operands run forward
@@ -150,8 +183,9 @@ def hafnian_fast(b: np.ndarray, workers: int | None = None,
 
     Odd sizes return 0, the empty matrix gives 1, and non-symmetric input
     is rejected. ``workers`` > 1 fans the canonical subset chunks over a
-    thread pool; the reduction order is fixed, so the result does not
-    depend on the worker count.
+    thread pool, drawing at most 2 * workers chunks ahead of the one being
+    added; the reduction order is fixed, so the result does not depend on
+    the worker count.
 
     Error envelope, measured against exact references (relative error):
 
@@ -186,15 +220,23 @@ def hafnian_fast(b: np.ndarray, workers: int | None = None,
         return 0.0 + 0.0j
     flat = (b / scale).ravel()
 
+    # partial sums are added in canonical chunk order, whatever the worker
+    # count; with threads, at most 2 * workers chunks wait, so the subsets
+    # stay streamed rather than all held at once
+    total = 0.0 + 0.0j
+    chunks = _plan(m)
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda c: _chunk_sum(flat, m, c), _subset_chunks(m)))
+            pending = deque()
+            for chunk in chunks:
+                pending.append(pool.submit(_chunk_sum, flat, m, chunk))
+                if len(pending) > 2 * workers:
+                    total += pending.popleft().result()
+            while pending:
+                total += pending.popleft().result()
     else:
-        partials = [_chunk_sum(flat, m, c) for c in _subset_chunks(m)]
-
-    total = 0.0 + 0.0j
-    for p in partials:          # fixed canonical order, independent of workers
-        total += p
+        for chunk in chunks:
+            total += _chunk_sum(flat, m, chunk)
     return complex(total * scale ** m)
 
 

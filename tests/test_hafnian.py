@@ -5,15 +5,18 @@ perfect matchings, so the fast path is validated against it rather than
 against any frozen constant.
 """
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdgbs import hafnian as hafnian_module
 from hdgbs.errors import ContractViolationError, ResourceLimitError
-from hdgbs.hafnian import (_subset_chunks, hafnian_enum, hafnian_fast, permanent,
-                           permanent_enum, permanent_via_hafnian)
+from hdgbs.hafnian import (_STACK, _plan, _subset_chunks, hafnian_enum, hafnian_fast,
+                           permanent, permanent_enum, permanent_via_hafnian)
 from hdgbs.matrices import random_symmetric, reduce_by_pattern
 
 
@@ -86,12 +89,65 @@ def test_hafnian_multilinearity_in_row_and_column():
 def test_hafnian_workers_bit_identical():
     # at n = 24 the 924 subsets of size 6 and the 792 of size 7 each span
     # two chunks, so chunk boundaries inside one size are exercised too
-    sizes = [[s for s, _, _ in chunk] for chunk in _subset_chunks(12)]
+    sizes = [[cols.shape[1] // 2 for cols in chunk] for chunk in _subset_chunks(12)]
     assert any(a[-1] == b[0] for a, b in zip(sizes, sizes[1:]))
     b = random_symmetric(24, seed=8)
     serial = hafnian_fast(b, workers=1)
     assert hafnian_fast(b, workers=2) == serial
     assert hafnian_fast(b, workers=3) == serial
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9, 12])
+def test_subset_chunks_list_every_subset_once_in_canonical_order(m):
+    # _power_traces gathers with mode="clip", which relies on every index
+    # lying in [0, 2m) and on each subset being whole index pairs
+    subsets = []
+    for chunk in _subset_chunks(m):
+        assert sum(cols.size * cols.shape[1] for cols in chunk) <= _STACK or \
+            sum(len(cols) for cols in chunk) == 1
+        for cols in chunk:
+            assert cols.min() >= 0 and cols.max() < 2 * m
+            assert np.all(cols[:, 0::2] % 2 == 0)
+            assert np.all(cols[:, 1::2] == cols[:, 0::2] + 1)
+            subsets += [tuple(row[0::2] // 2) for row in cols]
+    assert subsets == sorted(set(subsets), key=lambda s: (len(s), s))
+    assert len(subsets) == 2 ** m - 1
+
+
+def test_only_one_chunk_plans_are_cached():
+    # the (2s)^2 entries of all subsets add up to m (m + 1) 2^m, and a plan
+    # is kept across calls exactly when that fits one chunk
+    for m in range(1, 13):
+        fits = m * (m + 1) * 2 ** m <= _STACK
+        assert (len(list(_subset_chunks(m))) == 1) == fits
+        assert (next(_plan(m)) is next(_plan(m))) == fits
+
+
+def test_hafnian_threads_keep_few_chunks_in_flight(monkeypatch):
+    # the thread pool must not draw the whole subset stream ahead of the
+    # workers: at most 2 * workers chunks wait, plus the one being handed out
+    state = {"yielded": 0, "done": 0, "peak": 0}
+    lock = threading.Lock()
+    real_chunks = hafnian_module._subset_chunks
+
+    def counting_chunks(m):
+        for chunk in real_chunks(m):
+            with lock:
+                state["yielded"] += 1
+                state["peak"] = max(state["peak"], state["yielded"] - state["done"])
+            yield chunk
+
+    def slow_sum(b, m, chunk):
+        time.sleep(0.001)
+        with lock:
+            state["done"] += 1
+        return 0j
+
+    monkeypatch.setattr(hafnian_module, "_subset_chunks", counting_chunks)
+    monkeypatch.setattr(hafnian_module, "_chunk_sum", slow_sum)
+    hafnian_fast(random_symmetric(28, seed=3), workers=2)
+    assert state["done"] == state["yielded"] > 20
+    assert state["peak"] <= 2 * 2 + 1
 
 
 def test_hafnian_scaling_invariance():
