@@ -108,15 +108,20 @@ def _gather_offsets(m: int, cols: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _one_chunk_plan(m: int) -> list:
+def _one_chunk_plan(m: int) -> tuple:
     """Gather offsets of every subset when all of them fit one chunk.
 
     They depend only on m, so they are built once per m and reused; at
     N <= 18 enumerating the subsets and building their offsets would
-    otherwise be 15-30% of each call. Larger m streams its chunks.
+    otherwise be 15-30% of each call. Only m <= 9 reaches here, so the
+    cache holds at most 9 plans, and their arrays are read-only because
+    every caller shares them. Larger m streams its chunks.
     """
     (chunk,) = _subset_chunks(m)
-    return [_gather_offsets(m, cols) for cols in chunk]
+    plan = tuple(_gather_offsets(m, cols) for cols in chunk)
+    for offsets in plan:
+        offsets.setflags(write=False)
+    return plan
 
 
 def _plan(m: int):

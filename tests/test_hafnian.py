@@ -5,6 +5,7 @@ perfect matchings, so the fast path is validated against it rather than
 against any frozen constant.
 """
 import math
+import sys
 import threading
 import time
 
@@ -121,6 +122,35 @@ def test_only_one_chunk_plans_are_cached():
         fits = m * (m + 1) * 2 ** m <= _STACK
         assert (len(list(_subset_chunks(m))) == 1) == fits
         assert (next(_plan(m)) is next(_plan(m))) == fits
+
+
+def test_plan_cache_agrees_under_concurrent_first_use():
+    # eight threads build and read the cached plans at once, with a short
+    # switch interval; every result must equal the serial one
+    mats = [random_symmetric(n, seed=40 + n) for n in range(2, 20, 2)]
+    expected = [hafnian_fast(b) for b in mats]
+    hafnian_module._one_chunk_plan.cache_clear()
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append([hafnian_fast(b) for b in mats])
+        except Exception as exc:        # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [expected] * 8
 
 
 def test_hafnian_threads_keep_few_chunks_in_flight(monkeypatch):
