@@ -179,46 +179,67 @@ def _mask_size(mask: int, dims, uniform: float | None) -> float:
     return total
 
 
-def _greedy_path(masks, dims, uniform, rng):
-    """One randomized greedy search over a network given as label bitmasks.
+def _search_setup(masks, dims, uniform):
+    """What every greedy trial over one network starts from: the owner set
+    (tensor ids) of each label bit, and (size, ia, ib) for each pair of
+    tensors sharing a label, in the order the trials draw their
+    tie-breakers for them."""
+    owners: dict[int, set] = {}
+    for tid, mask in enumerate(masks):
+        mm = mask
+        while mm:
+            low = mm & -mm
+            owners.setdefault(low.bit_length() - 1, set()).add(tid)
+            mm ^= low
+    pairs = []
+    for tids in owners.values():
+        if len(tids) == 2:
+            ia, ib = sorted(tids)
+            pairs.append((_mask_size(masks[ia] ^ masks[ib], dims, uniform), ia, ib))
+    return owners, pairs
+
+
+def _tie_breaks(rng, first: int):
+    """Uniform doubles, the same ones successive ``rng.random()`` calls give,
+    drawn in blocks: ``first`` of them, then blocks of at least 16."""
+    yield from rng.random(first).tolist()
+    block = max(first, 16)
+    while True:
+        yield from rng.random(block).tolist()
+
+
+def _greedy_path(masks, dims, uniform, setup, rng):
+    """One randomized greedy search over a network given as label bitmasks,
+    starting from its ``_search_setup``.
 
     Returns the order. At every step the candidate pair producing the
     smallest intermediate is contracted, with exact ties broken uniformly
     at random; that tie noise is the only source of variation between
     trials.
     """
+    first_owners, first_pairs = setup
     alive = dict(enumerate(masks))
-    owners: dict[int, set] = {}
-    for tid, mask in alive.items():
-        mm = mask
-        while mm:
-            low = mm & -mm
-            owners.setdefault(low.bit_length() - 1, set()).add(tid)
-            mm ^= low
-
-    heap = []
-    for tids in owners.values():
-        if len(tids) == 2:
-            ia, ib = sorted(tids)
-            heapq.heappush(heap, (_mask_size(alive[ia] ^ alive[ib], dims, uniform),
-                                  rng.random(), ia, ib, alive[ia], alive[ib]))
+    owners = {bit: set(tids) for bit, tids in first_owners.items()}
+    draws = _tie_breaks(rng, len(first_pairs))
+    heap = [(size, next(draws), ia, ib) for size, ia, ib in first_pairs]
+    heapq.heapify(heap)
     order = []
     while len(alive) > 1:
+        # ids are never reused, so a pair whose two tensors are both still
+        # alive is still a valid candidate with its recorded size
         cand = None
         while heap:
-            _, _, ia, ib, ma, mb = heapq.heappop(heap)
-            if alive.get(ia) == ma and alive.get(ib) == mb:
-                cand = (ia, ib, ma, mb)
+            _, _, ia, ib = heapq.heappop(heap)
+            if ia in alive and ib in alive:
+                cand = (ia, ib)
                 break
         if cand is None:
             # disconnected remainder: outer-product the two smallest ids
-            ia, ib = sorted(alive)[:2]
-            cand = (ia, ib, alive[ia], alive[ib])
-        ia, ib, ma, mb = cand
-        new_mask = ma ^ mb
+            cand = tuple(sorted(alive)[:2])
+        ia, ib = cand
+        new_mask = alive.pop(ia) ^ alive.pop(ib)
         tid = len(masks) + len(order)
         order.append((ia, ib))
-        del alive[ia], alive[ib]
         alive[tid] = new_mask
         neighbors = set()
         mm = new_mask
@@ -234,7 +255,7 @@ def _greedy_path(masks, dims, uniform, rng):
         for nb in neighbors:
             pa, pb = (tid, nb) if tid < nb else (nb, tid)
             heapq.heappush(heap, (_mask_size(new_mask ^ alive[nb], dims, uniform),
-                                  rng.random(), pa, pb, alive[pa], alive[pb]))
+                                  next(draws), pa, pb))
     return tuple(order)
 
 
@@ -296,9 +317,10 @@ def contraction_cost(network: TensorNetwork, trials: int, seed) -> ContractionPl
     if trials < 1:
         raise ContractViolationError(f"trials must be >= 1, got {trials}")
     masks, dims, uniform = _network_masks(network)
+    setup = _search_setup(masks, dims, uniform)
     best = None
     for child in _seed_sequence(seed).spawn(trials):
-        order = _greedy_path(masks, dims, uniform, np.random.default_rng(child))
+        order = _greedy_path(masks, dims, uniform, setup, np.random.default_rng(child))
         flops, elems = _plan_cost(masks, order, dims, uniform)
         if best is None or (flops, elems) < (best.est_flops, best.max_tensor_elems):
             best = ContractionPlan(order, flops, elems)

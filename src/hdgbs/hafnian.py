@@ -21,10 +21,20 @@ lexicographic) and their partial sums are reduced chunk by chunk in that
 order, so results are bit-identical whether run serially or on a thread
 pool. When every subset fits one chunk (N <= 18), the gather offsets of
 the subsets are built once per size and reused by later calls.
+
+``hafnian_fast`` also takes a stack of matrices, shape (..., N, N), as
+``numpy.linalg`` does. Up to about ``_STACK`` entries of subset blocks,
+the matrices of a stack share every numpy call of a chunk: the gather,
+the matmuls, the traces and the coefficient recursion run once over all
+of them, which is what makes many small Hafnians cheap (a call at N <= 6
+is mostly fixed overhead). Only the last reduction runs per matrix, on
+the matrix's own contiguous block, so each value equals the one the
+matrix gives alone, bit for bit; a single matrix is the stack of one.
 """
 
 import functools
 import math
+import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, combinations, islice
@@ -107,45 +117,62 @@ def _gather_offsets(m: int, cols: np.ndarray) -> np.ndarray:
     return ((cols ^ 1) * (2 * m))[:, :, None] + cols[:, None, :]
 
 
+def _subset_signs(m: int, blocks) -> np.ndarray:
+    """The inclusion-exclusion sign (-1)^(m - s) of each subset of a chunk,
+    given as blocks of gather offsets."""
+    return np.repeat([-1.0 if (m - offsets.shape[1] // 2) % 2 else 1.0 for offsets in blocks],
+                     [len(offsets) for offsets in blocks])
+
+
 @functools.cache
 def _one_chunk_plan(m: int) -> tuple:
-    """Gather offsets of every subset when all of them fit one chunk.
+    """(blocks, signs) of every subset when all of them fit one chunk: the
+    gather offsets of each block and ``_subset_signs``.
 
     They depend only on m, so they are built once per m and reused; at
-    N <= 18 enumerating the subsets and building their offsets would
-    otherwise be 15-30% of each call. Only m <= 9 reaches here, so the
-    cache holds at most 9 plans, and their arrays are read-only because
+    N <= 18 enumerating the subsets and building their offsets and signs
+    would otherwise be 15-30% of each call. Only m <= 9 reaches here, so
+    the cache holds at most 9 plans, and their arrays are read-only because
     every caller shares them. Larger m streams its chunks.
     """
     (chunk,) = _subset_chunks(m)
-    plan = tuple(_gather_offsets(m, cols) for cols in chunk)
-    for offsets in plan:
-        offsets.setflags(write=False)
-    return plan
+    blocks = tuple(_gather_offsets(m, cols) for cols in chunk)
+    sign = _subset_signs(m, blocks)
+    for array in blocks + (sign,):
+        array.setflags(write=False)
+    return blocks, sign
 
 
 def _plan(m: int):
-    """Chunks of gather-offset blocks in canonical order (see
+    """(blocks, signs) of each chunk in canonical order (see
     ``_subset_chunks``). The (2s)^2 entries of all 2^m - 1 subsets add up
-    to m (m + 1) 2^m, which fits one chunk for m <= 9."""
+    to m (m + 1) 2^m, which fits one chunk for m <= 9. A streamed chunk
+    leaves its signs to ``_chunk_sum``: kept alive with each chunk, the
+    small sign arrays left several MiB of freed heap resident at N = 24."""
     if m * (m + 1) * 2 ** m <= _STACK:
         yield _one_chunk_plan(m)
         return
     for chunk in _subset_chunks(m):
-        yield [_gather_offsets(m, cols) for cols in chunk]
+        yield [_gather_offsets(m, cols) for cols in chunk], None
 
 
 def _power_traces(flat: np.ndarray, m: int, offsets: np.ndarray,
                   out: np.ndarray) -> None:
-    """out[k-1] = tr((X B_S)^k) for k = 1..m, one column per subset.
+    """out[k-1] = tr((X B_S)^k) for k = 1..m, one column per subset and
+    matrix. ``flat`` holds K rescaled 2m x 2m matrices one after another,
+    and column i * count + c of ``out`` belongs to matrix i and subset c.
 
     The powers up to ceil(m/2) come from stacked matmuls; a higher trace
     pairs the top power with a lower one, tr(P^h P^j) = vec((P^h)^T) . vec(P^j).
     """
     count, d = offsets.shape[:2]
+    batch = out.shape[1]
+    if batch > count:         # matrix i starts i * 4m^2 entries into flat
+        offsets = (np.arange(0, flat.size, 4 * m * m).reshape(-1, 1, 1, 1)
+                   + offsets).reshape(batch, d, d)
     half = (m + 1) // 2
-    pows = np.empty((half, count, d, d), dtype=complex)
-    # every offset is in [0, 4m^2) by construction (each subset index lies
+    pows = np.empty((half, batch, d, d), dtype=complex)
+    # every offset is in [0, K 4m^2) by construction (each subset index lies
     # in [0, 2m)); mode="clip" lets take write into pows[0] directly, where
     # the default mode would gather into a temporary and copy it
     flat.take(offsets, out=pows[0], mode="clip")
@@ -153,36 +180,64 @@ def _power_traces(flat: np.ndarray, m: int, offsets: np.ndarray,
         np.matmul(pows[k - 1], pows[0], out=pows[k])
     np.einsum("kbii->kb", pows, out=out[:half])
     if m > half:
-        top = pows[half - 1].transpose(0, 2, 1).reshape(count, d * d, 1)
-        np.matmul(pows[:m - half].reshape(m - half, count, d * d).transpose(1, 0, 2),
+        top = pows[half - 1].transpose(0, 2, 1).reshape(batch, d * d, 1)
+        np.matmul(pows[:m - half].reshape(m - half, batch, d * d).transpose(1, 0, 2),
                   top, out=out[half:].T[:, :, None])
 
 
-def _chunk_sum(flat: np.ndarray, m: int, chunk: list) -> complex:
-    """Signed sum of [x^m] det(I - x X B_S)^(-1/2) over one chunk of subsets,
-    given as blocks of gather offsets, with
-    det(I - x A)^(-1/2) = exp(sum_k tr(A^k) x^k / (2k))."""
-    count = sum(len(offsets) for offsets in chunk)
-    tr = np.empty((m, count), dtype=complex)
-    sign = np.empty(count)
+def _by_matrix(tr: np.ndarray, stack: int, blocks) -> np.ndarray:
+    """Reorder (m, stack * count) columns, laid out block by block as in
+    ``_chunk_sum``, into one C-contiguous (m, count) block per matrix."""
+    m = len(tr)
+    out = np.empty((stack, m, tr.shape[1] // stack), dtype=complex)
     start = 0
-    for offsets in chunk:
+    for offsets in blocks:
         stop = start + len(offsets)
-        _power_traces(flat, m, offsets, tr[:, start:stop])
-        sign[start:stop] = -1.0 if (m - offsets.shape[1] // 2) % 2 else 1.0
+        out[:, :, start:stop] = tr[:, stack * start:stack * stop].reshape(
+            m, stack, -1).transpose(1, 0, 2)
+        start = stop
+    return out
+
+
+def _chunk_sum(flat: np.ndarray, m: int, chunk: tuple) -> list:
+    """Signed sums of [x^m] det(I - x X B_S)^(-1/2) over one chunk of subsets,
+    given as (blocks, signs) by ``_plan``, one sum per matrix of ``flat`` (K
+    rescaled 2m x 2m matrices, raveled one after another), with
+    det(I - x A)^(-1/2) = exp(sum_k tr(A^k) x^k / (2k)).
+
+    The K matrices share every numpy call up to the last: the columns of a
+    block run over (matrix, subset), so a single matrix (K = 1) takes
+    exactly the calls of an unstacked evaluation.
+    """
+    blocks, sign = chunk
+    if sign is None:
+        sign = _subset_signs(m, blocks)
+    stack, count = flat.size // (4 * m * m), len(sign)
+    tr = np.empty((m, stack * count), dtype=complex)
+    start = 0
+    for offsets in blocks:
+        stop = start + len(offsets)
+        _power_traces(flat, m, offsets, tr[:, stack * start:stack * stop])
         start = stop
     # power-series exponential, 2j c_j = sum_{k=1..j} tr_k c_{j-k}, with
     # c_j stored in rc[m-1-j] so that both operands run forward
-    rc = np.empty((m, count), dtype=complex)
+    rc = np.empty((m, stack * count), dtype=complex)
     rc[m - 1] = 1.0
     for j in range(1, m):
         np.einsum("kb,kb->b", tr[:j], rc[m - j:], out=rc[m - 1 - j])
         rc[m - 1 - j] /= 2 * j
-    return complex(np.einsum("kb,kb,b->", tr, rc, sign)) / (2 * m)
+    # the final reduction runs on each matrix's own C-contiguous (m, count)
+    # block: einsum's summation order depends on the operands' layout, so
+    # any other layout would change the last bits
+    if stack > 1:
+        tr, rc = _by_matrix(tr, stack, blocks), _by_matrix(rc, stack, blocks)
+    else:
+        tr, rc = [tr], [rc]
+    return [complex(np.einsum("kb,kb,b->", t, c, sign)) / (2 * m) for t, c in zip(tr, rc)]
 
 
 def hafnian_fast(b: np.ndarray, workers: int | None = None,
-                 ceiling: int = FAST_CEILING) -> complex:
+                 ceiling: int = FAST_CEILING) -> complex | np.ndarray:
     """Hafnian of a complex symmetric matrix via power traces over
     pair subsets.
 
@@ -191,6 +246,12 @@ def hafnian_fast(b: np.ndarray, workers: int | None = None,
     thread pool, drawing at most 2 * workers chunks ahead of the one being
     added; the reduction order is fixed, so the result does not depend on
     the worker count.
+
+    ``b`` may also be a stack of shape (..., n, n), as in ``numpy.linalg``;
+    the result is then an array of shape (...). Up to about ``_STACK``
+    matrix entries of subsets, several matrices share one pass over the
+    subset plan, so many small Hafnians cost little more than one. Each
+    value equals the one the matrix gives alone, bit for bit.
 
     Error envelope, measured against exact references (relative error):
 
@@ -207,42 +268,73 @@ def hafnian_fast(b: np.ndarray, workers: int | None = None,
     The inclusion-exclusion sum cancels terms far larger than the result,
     so the error grows with N and with how much the terms cancel.
     """
-    b = _square(b, complex)
-    n = b.shape[0]
+    b = _square(b, complex, stack=True)
+    n = b.shape[-1]
     if n > ceiling:
         raise ResourceLimitError(f"size {n} exceeds the fast-path ceiling of {ceiling}")
+    if b.ndim == 2:
+        return _hafnians(b[None], workers)[0]
+    values = _hafnians(b.reshape(math.prod(b.shape[:-2]), n, n), workers)
+    return np.array(values, dtype=complex).reshape(b.shape[:-2])
+
+
+def _hafnians(stack: np.ndarray, workers: int | None) -> list:
+    """Hafnians of a (K, n, n) stack, as a list of K complex values."""
+    size, n = len(stack), stack.shape[-1]
     if n == 0:
-        return 1.0 + 0.0j
+        return [1.0 + 0.0j] * size
     if n % 2:
-        return 0.0 + 0.0j
-    assert_symmetric(b)
+        return [0.0 + 0.0j] * size
     m = n // 2
+    # matrices are grouped so that a group's one-chunk plan stays near
+    # _STACK entries; from m = 10 on, chunks are full and a group is one
+    # matrix. Checks, rescale and sums run group by group, so no temporary
+    # spans the whole stack.
+    group = max(1, _STACK // (m * (m + 1) << m))
+    scales = []
 
-    # One global rescale keeps the power sums well inside double range;
-    # Haf(cB) = c^(n/2) Haf(B) restores the scale afterwards.
-    scale = float(np.max(np.abs(b)))
-    if scale == 0.0:
-        return 0.0 + 0.0j
-    flat = (b / scale).ravel()
+    def units():
+        for lo in range(0, size, group):
+            part = stack[lo:lo + group]
+            # one max|b| per matrix serves the symmetry check and the
+            # rescale, which keeps the power sums well inside double range;
+            # Haf(cB) = c^(n/2) Haf(B) restores the scale afterwards
+            scale = assert_symmetric(part)
+            part_scales = scale.tolist()
+            scales.extend(part_scales)
+            if 0.0 in part_scales:    # a zero matrix stays zero, Hafnian 0
+                scale = np.where(scale > 0.0, scale, 1.0)
+            flat = (part / scale.reshape(-1, 1, 1)).ravel()
+            for chunk in _plan(m):
+                yield lo, flat, chunk
 
-    # partial sums are added in canonical chunk order, whatever the worker
-    # count; with threads, at most 2 * workers chunks wait, so the subsets
-    # stay streamed rather than all held at once
-    total = 0.0 + 0.0j
-    chunks = _plan(m)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = deque()
-            for chunk in chunks:
-                pending.append(pool.submit(_chunk_sum, flat, m, chunk))
-                if len(pending) > 2 * workers:
-                    total += pending.popleft().result()
-            while pending:
-                total += pending.popleft().result()
-    else:
-        for chunk in chunks:
-            total += _chunk_sum(flat, m, chunk)
-    return complex(total * scale ** m)
+    total = [0.0 + 0.0j] * size
+    for lo, sums in _chunk_sums(units(), m, workers):
+        hi = lo + len(sums)
+        total[lo:hi] = map(operator.add, total[lo:hi], sums)
+    return [t * c ** m if c else 0.0 + 0.0j for t, c in zip(total, scales)]
+
+
+def _chunk_sums(units, m: int, workers: int | None):
+    """(lo, _chunk_sum(part, m, chunk)) for each (lo, part, chunk) unit, in
+    the units' order whatever the worker count, so partial sums are always
+    added in canonical chunk order. With threads, at most 2 * workers
+    units wait, so the subsets stay streamed rather than all held at once.
+    """
+    if workers is None or workers <= 1:
+        for lo, part, chunk in units:
+            yield lo, _chunk_sum(part, m, chunk)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for lo, part, chunk in units:
+            pending.append((lo, pool.submit(_chunk_sum, part, m, chunk)))
+            if len(pending) > 2 * workers:
+                lo, future = pending.popleft()
+                yield lo, future.result()
+        while pending:
+            lo, future = pending.popleft()
+            yield lo, future.result()
 
 
 def permanent(g: np.ndarray, limit: int = PERMANENT_LIMIT) -> complex:

@@ -43,11 +43,13 @@ def ginibre(n: int, k: int, variance: float, seed) -> np.ndarray:
     return scale * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
 
 
-def _square(a, dtype=None) -> np.ndarray:
-    """``a`` as a square 2-D array; any other shape is a contract violation."""
+def _square(a, dtype=None, stack: bool = False) -> np.ndarray:
+    """``a`` as a square 2-D array, or with ``stack`` as a stack of square
+    matrices of shape (..., n, n); any other shape is a contract violation."""
     a = np.asarray(a, dtype=dtype)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {a.shape}")
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
+        what = " or a stack of them" if stack else ""
+        raise ContractViolationError(f"expected a square matrix{what}, got shape {a.shape}")
     return a
 
 
@@ -81,17 +83,24 @@ def reduce_by_pattern(a: np.ndarray, pattern) -> np.ndarray:
 
     Rows and columns with a zero count are dropped, so the result is
     N x N with N the pattern total. An all-zero pattern yields a 0 x 0
-    matrix.
+    matrix. A stack of patterns, shape (..., modes), that share one total
+    N gives the stack of their (..., N, N) sub-matrices.
     """
     a = _square(a)
+    modes = a.shape[0]
     counts = np.asarray(pattern, dtype=np.intp)
-    if counts.ndim != 1 or counts.shape[0] != a.shape[0]:
+    if counts.ndim < 1 or counts.shape[-1] != modes:
         raise ContractViolationError(
-            f"pattern length {counts.shape} does not match matrix size {a.shape[0]}")
+            f"pattern length {counts.shape} does not match matrix size {modes}")
     if np.any(counts < 0):
         raise ContractViolationError("pattern entries must be non-negative")
-    idx = np.repeat(np.arange(a.shape[0]), counts)
-    return a[np.ix_(idx, idx)]
+    totals = counts.sum(axis=-1)
+    total = int(totals.flat[0]) if totals.size else 0
+    if np.any(totals != total):
+        raise ContractViolationError("patterns in one stack must share a photon total")
+    idx = np.repeat(np.tile(np.arange(modes), totals.size), counts.ravel())
+    idx = idx.reshape(counts.shape[:-1] + (total,))
+    return a[idx[..., :, None], idx[..., None, :]]
 
 
 def symmetric_product_submatrix(u: np.ndarray, pattern, k: int) -> np.ndarray:
@@ -141,11 +150,23 @@ def assert_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
         raise ContractViolationError(f"matrix is not unitary (defect {d:.3e} > {tol:.1e})")
 
 
-def assert_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
-    d = symmetry_defect(a)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if d > tol * scale:
-        raise ContractViolationError(f"matrix is not symmetric (defect {d:.3e})")
+def assert_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
+    """Reject any matrix of ``a`` (shape (..., n, n), n >= 1) whose max-norm
+    of A - A^T exceeds ``tol`` times max(1, max|A|). Returns max|A| per
+    matrix, shape (...), so that callers need not take it a second time."""
+    a = np.asarray(a)
+    if a.size == 0:
+        return np.zeros(a.shape[:-2])
+    mag = np.abs(a).max(axis=(-2, -1))
+    defect = np.abs(a - a.swapaxes(-2, -1))
+    # a defect within tol passes whatever the magnitude, so the per-matrix
+    # comparison runs only when some entry exceeds it
+    if defect.max() > tol:
+        defect = defect.max(axis=(-2, -1))
+        if (defect > tol * np.maximum(mag, 1.0)).any():
+            raise ContractViolationError(
+                f"matrix is not symmetric (defect {float(np.max(defect)):.3e})")
+    return mag
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

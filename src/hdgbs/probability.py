@@ -23,7 +23,7 @@ from .circuit import GbsInstance, adjacency
 from .errors import ContractViolationError, ResourceLimitError
 from .hafnian import FAST_CEILING, hafnian_fast
 from .logmath import NEG_INF, log_binomial, log_factorial, log_hyp2f1
-from .matrices import as_rng, reduce_by_pattern, symmetric_product_submatrix
+from .matrices import _square, as_rng, reduce_by_pattern, symmetric_product_submatrix
 
 MASS_SLACK = 1e-9
 PATTERN_BUDGET = 10 ** 7
@@ -245,26 +245,48 @@ def most_probable_even(modes: int, r: float) -> int:
 
 
 def outcome_probability(a: np.ndarray, r_vec, pattern,
-                        workers: int | None = None) -> float:
+                        workers: int | None = None) -> float | np.ndarray:
     """Pr(n) = |Haf(A_nn)|^2 / (prod_j n_j! cosh r_j).
 
-    The prefactor is assembled in log space; the Hafnian itself is exact
-    complex arithmetic. Patterns whose total exceeds the fast-path
-    ceiling are refused.
+    ``r_vec`` holds one squeezing parameter per mode. The prefactor is
+    assembled in log space; the Hafnian itself is exact complex
+    arithmetic. Patterns whose total exceeds the fast-path ceiling are
+    refused.
+
+    ``pattern`` may also be a stack of patterns, shape (..., modes); the
+    result is then an array of shape (...). The patterns of each photon
+    total go to ``hafnian_fast`` as one stack, and each probability equals
+    the one its pattern gives alone, bit for bit.
     """
-    counts = np.asarray(pattern, dtype=np.intp)
+    a = _square(a)
+    modes = a.shape[0]
     r = np.asarray(r_vec, dtype=float)
-    total = int(counts.sum())
-    if total > FAST_CEILING:
+    if r.shape != (modes,):
+        raise ContractViolationError(
+            f"r_vec has shape {r.shape}, expected ({modes},), one entry per mode")
+    counts = np.asarray(pattern, dtype=np.intp)
+    if counts.ndim < 1 or counts.shape[-1] != modes:
+        raise ContractViolationError(
+            f"pattern length {counts.shape} does not match matrix size {modes}")
+    rows = counts.reshape(-1, modes)
+    totals = rows.sum(axis=1)
+    if totals.size and totals.max() > FAST_CEILING:
         raise ResourceLimitError(
-            f"pattern with {total} photons exceeds the Hafnian ceiling")
-    sub = reduce_by_pattern(a, counts)
-    h = hafnian_fast(sub, workers=workers)
-    if h == 0:
-        return 0.0
-    log_pref = -(sum(log_factorial(int(c)) for c in counts)
-                 + float(np.sum(np.log(np.cosh(r)))))
-    return math.exp(2.0 * math.log(abs(h)) + log_pref)
+            f"pattern with {totals.max()} photons exceeds the Hafnian ceiling")
+    log_cosh = float(np.sum(np.log(np.cosh(r))))
+    log_fact = [log_factorial(k) for k in range(int(rows.max(initial=0)) + 1)]
+    probs = np.zeros(len(rows))
+    for total in sorted(set(totals.tolist())):
+        picked = np.flatnonzero(totals == total)
+        group = rows[picked]
+        hafs = hafnian_fast(reduce_by_pattern(a, group), workers=workers)
+        for i, h, row in zip(picked.tolist(), hafs.tolist(), group.tolist()):
+            if h != 0:
+                log_pref = -(sum(log_fact[c] for c in row) + log_cosh)
+                probs[i] = math.exp(2.0 * math.log(abs(h)) + log_pref)
+    if counts.ndim == 1:
+        return float(probs[0])
+    return probs.reshape(counts.shape[:-1])
 
 
 def collision_free_probability(u: np.ndarray, k: int, r: float, pattern,
@@ -327,7 +349,7 @@ def exact_sample(instance: GbsInstance, n_max: int, count: int,
     a = adjacency(instance)
     r_vec = np.full(modes, instance.r)
     patterns = list(enumerate_patterns(modes, n_max))
-    probs = np.array([outcome_probability(a, r_vec, p) for p in patterns])
+    probs = outcome_probability(a, r_vec, patterns)
     mass = float(probs.sum())
     if mass <= 0.0:
         raise ContractViolationError("enumerated support carries no probability")

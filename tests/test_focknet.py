@@ -1,5 +1,6 @@
 """Tests for Fock tensors, network construction, path costs and
 contraction, including the cross-engine agreement with the Hafnian route."""
+import hashlib
 import math
 
 import numpy as np
@@ -140,6 +141,23 @@ def test_plan_search_is_reproducible():
     assert plan.order == ((7, 9), (11, 13), (2, 5), (1, 4), (0, 16), (14, 17),
                           (15, 18), (6, 19), (3, 20), (8, 21), (10, 22), (12, 23))
     assert plan.est_flops == 768.0
+
+
+@pytest.mark.parametrize("params, seeds, est_flops, order_sha256", [
+    ((0.8, 4, 3, 1), (504, 604), 3.2217510533626995e+29,
+     "4988f79b49150c136e942ca141cc8a3ec0f1b5813d951763623eda6d5549906c"),
+    ((0.5, 3, 2, 1), (1, 0), 22336.0,
+     "2ba0bfac15cb05f3a0d193962864abe0fbd026f4a0032ff8d001e5d62090a435"),
+], ids=["a4-D3-criterion-10", "a3-D2-small"])
+def test_plan_search_pins_plans(params, seeds, est_flops, order_sha256):
+    # (instance seed, plan seed), cutoff 4, vacuum pattern, 32 trials: the
+    # order and cost the search found before its tie-breakers were drawn
+    # in blocks; a faster search must find the same plans
+    inst = build_instance(*params, seed=seeds[0])
+    net = build_network(inst, cutoff=4, pattern=[0] * inst.modes)
+    plan = contraction_cost(net, trials=32, seed=seeds[1])
+    assert plan.est_flops == est_flops
+    assert hashlib.sha256(repr(plan.order).encode()).hexdigest() == order_sha256
 
 
 @pytest.mark.parametrize("replay", [replay_cost, contract])

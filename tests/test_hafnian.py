@@ -172,13 +172,73 @@ def test_hafnian_threads_keep_few_chunks_in_flight(monkeypatch):
         time.sleep(0.001)
         with lock:
             state["done"] += 1
-        return 0j
+        return [0j]
 
     monkeypatch.setattr(hafnian_module, "_subset_chunks", counting_chunks)
     monkeypatch.setattr(hafnian_module, "_chunk_sum", slow_sum)
     hafnian_fast(random_symmetric(28, seed=3), workers=2)
     assert state["done"] == state["yielded"] > 20
     assert state["peak"] <= 2 * 2 + 1
+
+
+# Stacks: (..., n, n) input evaluates every matrix in shared numpy calls,
+# and each value must equal the one the matrix gives alone, bit for bit.
+
+def _stack_of(n: int, count: int, seed: int) -> np.ndarray:
+    return np.array([random_symmetric(n, seed=seed + i) for i in range(count)]
+                    ).reshape(count, n, n)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 20])
+def test_stacked_hafnian_equals_per_matrix_bit_for_bit(n):
+    # n = 20 (m = 10) streams several chunks per matrix
+    stack = _stack_of(n, 3 if n >= 18 else 5, seed=100 + n)
+    per = [hafnian_fast(b) for b in stack]
+    assert all(type(v) is complex for v in per)
+    got = hafnian_fast(stack)
+    assert got.shape == (len(stack),) and got.dtype == complex
+    assert _bits(got) == _bits(per)
+
+
+def test_stack_larger_than_one_group_is_bit_identical():
+    # a group holds _STACK // (m (m + 1) 2^m) = 682 matrices at m = 3, so
+    # 700 of them take two groups; leading axes are kept in the result
+    stack = _stack_of(6, 700, seed=7)
+    per = [hafnian_fast(b) for b in stack]
+    assert 700 > _STACK // (3 * 4 * 2 ** 3)
+    got = hafnian_fast(stack.reshape(7, 100, 6, 6))
+    assert got.shape == (7, 100)
+    assert _bits(got) == _bits(per)
+
+
+def test_stacked_hafnian_of_zero_member_is_zero():
+    stack = _stack_of(6, 3, seed=20)
+    stack[1] = 0.0
+    got = hafnian_fast(stack)
+    assert _bits(got[1]) == _bits(0j)
+    assert _bits(got[[0, 2]]) == _bits([hafnian_fast(stack[0]), hafnian_fast(stack[2])])
+    assert _bits(hafnian_fast(np.zeros((2, 4, 4)))) == _bits([0j, 0j])
+    assert hafnian_fast(np.zeros((0, 4, 4))).shape == (0,)
+
+
+def test_stacked_hafnian_rejects_a_non_symmetric_member():
+    stack = _stack_of(4, 3, seed=30)
+    stack[2, 0, 1] += 1e-3
+    with pytest.raises(ContractViolationError, match="not symmetric"):
+        hafnian_fast(stack)
+
+
+@pytest.mark.parametrize("n, count", [(6, 1400), (20, 2)])
+def test_stacked_hafnian_workers_bit_identical(n, count):
+    # several groups (n = 6) and several chunks per matrix (n = 20) go to
+    # the pool; the sums are added in the same order as serially
+    stack = _stack_of(n, count, seed=40)
+    serial = hafnian_fast(stack)
+    assert _bits(hafnian_fast(stack, workers=2)) == _bits(serial)
 
 
 def test_hafnian_scaling_invariance():

@@ -6,7 +6,7 @@ import pytest
 
 from hdgbs.errors import ContractViolationError
 from hdgbs.matrices import (ginibre, haar_isometry, haar_unitary,
-                            matrix_from_json, matrix_to_json,
+                            matrix_from_json, matrix_to_json, random_symmetric,
                             reduce_by_pattern, symmetric_product_submatrix,
                             symmetry_defect, unitarity_defect)
 
@@ -109,6 +109,17 @@ def test_reduce_by_pattern_preserves_symmetry():
 def test_reduce_by_pattern_length_mismatch():
     with pytest.raises(ContractViolationError):
         reduce_by_pattern(np.eye(3), [1, 1])
+
+
+def test_reduce_by_pattern_stack_of_patterns():
+    a = random_symmetric(4, seed=3)
+    patterns = [[2, 0, 1, 0], [0, 1, 1, 1], [0, 0, 0, 3]]
+    got = reduce_by_pattern(a, patterns)
+    assert got.shape == (3, 3, 3)
+    for sub, p in zip(got, patterns):
+        assert np.array_equal(sub, reduce_by_pattern(a, p))
+    with pytest.raises(ContractViolationError, match="photon total"):
+        reduce_by_pattern(a, [[1, 0, 0, 0], [1, 1, 0, 0]])
 
 
 def test_symmetric_product_full_k_equals_uut_reduction():

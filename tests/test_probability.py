@@ -218,6 +218,32 @@ def test_outcome_probability_resource_guard():
         outcome_probability(a, [0.5, 0.5], [30, 30])
 
 
+@pytest.mark.parametrize("r_vec", [[0.4] * 3, 0.4, [[0.4] * 9]],
+                         ids=["three-entries", "scalar", "row"])
+def test_outcome_probability_rejects_r_vec_of_wrong_shape(r_vec):
+    # one squeezing parameter per mode: anything else used to be read
+    # silently (a 3-entry r_vec for 9 modes gave 5.74e-4 for 3.60e-4)
+    inst = build_instance(0.4, 3, 2, 1, seed=11)
+    a = adjacency(inst)
+    assert outcome_probability(a, [0.4] * 9, [1, 1, 0, 0, 0, 0, 0, 0, 0]) > 0
+    with pytest.raises(ContractViolationError, match="r_vec"):
+        outcome_probability(a, r_vec, [1, 1, 0, 0, 0, 0, 0, 0, 0])
+
+
+def test_stacked_outcome_probability_equals_per_pattern_bit_for_bit():
+    inst = build_instance(0.4, 3, 2, 1, seed=11)
+    a = adjacency(inst)
+    r_vec = np.full(9, 0.4)
+    patterns = list(enumerate_patterns(9, 4))
+    per = [outcome_probability(a, r_vec, p) for p in patterns]
+    assert all(type(p) is float for p in per)
+    got = outcome_probability(a, r_vec, patterns)
+    assert got.shape == (len(patterns),)
+    assert got.tobytes() == np.array(per).tobytes()
+    grid = outcome_probability(a, r_vec, np.array(patterns[:10]).reshape(2, 5, 9))
+    assert grid.tobytes() == np.array(per[:10]).tobytes()
+
+
 def test_collision_free_vacuum():
     u = haar_unitary(6, seed=9)
     p = collision_free_probability(u, k=4, r=0.7, pattern=[0] * 6)
@@ -300,6 +326,21 @@ def test_exact_sample_truncated_mass_bound():
     tail = 1.0 - lossy_total_dist_closed(4, 0.3, 1.0, 8).probs.sum()
     assert truncated == pytest.approx(tail, abs=1e-10)
     assert truncated <= 1e-4
+
+
+def test_exact_sample_matches_per_pattern_reference():
+    # exact_sample evaluates all patterns in one stacked call; its draws and
+    # truncated mass must be those of the per-pattern computation
+    inst = build_instance(0.4, 3, 2, 1, seed=12)
+    a = adjacency(inst)
+    r_vec = np.full(9, 0.4)
+    patterns = list(enumerate_patterns(9, 4))
+    probs = np.array([outcome_probability(a, r_vec, p) for p in patterns])
+    mass = float(probs.sum())
+    draws = np.random.default_rng(13).choice(len(patterns), size=200, p=probs / mass)
+    samples, truncated = exact_sample(inst, n_max=4, count=200, seed=13)
+    assert samples == [patterns[i] for i in draws]
+    assert truncated == max(0.0, 1.0 - mass)
 
 
 def test_exact_sample_budget_guard():
