@@ -2,20 +2,21 @@
 
 An (r, a, D, C) instance couples M = a^D temporal modes through delay
 lines of lengths 1, a, ..., a^(D-1): for each cycle and each delay length
-tau, a fresh Haar-random 2 x 2 beam-splitter acts on modes (i, i + tau)
-for ascending i. The module also evaluates the delay-line loss budget and
-the light-cone bandwidth implied by that gate order.
+tau, a 2 x 2 beam-splitter acts on modes (i, i + tau) for ascending i, and
+the unitary is the ordered product of these gates. The module also
+evaluates the delay-line loss budget and the light-cone bandwidth.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError
-from .matrices import (_json_int, as_rng, assert_unitary, haar_isometry,
+from .matrices import (_json_int, _squeezing, as_rng, assert_unitary, haar_isometry,
                        matrix_from_json, matrix_to_json)
 
 MODE_LIMIT = 4096
@@ -30,7 +31,13 @@ class Gate(NamedTuple):
 
 @dataclass(frozen=True)
 class GbsInstance:
-    """A constructed instance: parameters, gate list and total unitary."""
+    """An (r, a, D, C) instance: parameters, gates and unitary.
+
+    Every instance, built or loaded, is checked here: a valid lattice, a
+    finite r >= 0 and exactly the 2 x 2 gates of the delay-line order.
+    ``unitary`` is the read-only ordered product of the gates; a unitary
+    passed in must match it to GATE_PRODUCT_TOL (max-norm) and is dropped.
+    """
 
     r: float
     a: int
@@ -38,7 +45,32 @@ class GbsInstance:
     cycles: int
     seed: int
     gates: tuple
-    unitary: np.ndarray = field(repr=False)
+    unitary: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        _validate_lattice(self.a, self.dim, self.cycles)
+        object.__setattr__(self, "r", float(_squeezing(self.r)))
+        m, given = self.modes, self.unitary
+        if given is not None and np.shape(given) != (m, m):
+            raise ContractViolationError(f"unitary is {np.shape(given)}, expected {m}x{m}")
+        count = expected_gate_count(self.a, self.dim, self.cycles)
+        if len(self.gates) != count:
+            raise ContractViolationError(
+                f"gate list has {len(self.gates)} entries, expected {count}")
+        pairs = chain.from_iterable(_layers(self.a, self.dim, self.cycles))
+        for k, (g, pair) in enumerate(zip(self.gates, pairs)):
+            if (g.i, g.j) != pair or np.shape(g.v) != (2, 2):
+                raise ContractViolationError(
+                    f"gate {k}, a {np.shape(g.v)} matrix on modes ({g.i}, {g.j}), is not "
+                    f"the 2 x 2 gate on {m} modes at {pair} of the delay-line order")
+        unitary = _gate_product(m, self.gates)
+        unitary.setflags(write=False)
+        defect = 0.0 if given is None else float(np.max(np.abs(unitary - given)))
+        if not defect <= GATE_PRODUCT_TOL:     # a NaN defect fails too
+            raise ContractViolationError(
+                f"unitary differs from the product of the gates by {defect:.3e} "
+                f"(> {GATE_PRODUCT_TOL:.1e})")
+        object.__setattr__(self, "unitary", unitary)
 
     @property
     def modes(self) -> int:
@@ -46,8 +78,7 @@ class GbsInstance:
 
 
 def expected_gate_count(a: int, dim: int, cycles: int) -> int:
-    m = a ** dim
-    return cycles * sum(m - a ** d for d in range(dim))
+    return cycles * sum(a ** dim - a ** d for d in range(dim))
 
 
 def delay_path_length(a: int, dim: int) -> int:
@@ -75,6 +106,14 @@ def _validate_lattice(a: int, dim: int, cycles: int) -> None:
         raise ContractViolationError(f"cycle count must be >= 1, got C={cycles}")
 
 
+def _layers(a: int, dim: int, cycles: int):
+    """The delay-line order: for each cycle and each delay tau = a^d, d < D,
+    one layer of (i, i + tau) mode pairs, i ascending from 0 to a^D - tau - 1."""
+    m = a ** dim
+    for tau in [a ** d for d in range(dim)] * cycles:
+        yield zip(range(m - tau), range(tau, m))
+
+
 def _gate_product(m: int, gates) -> np.ndarray:
     """Total m x m unitary of a gate list, each gate applied in order to
     rows (i, j) of the running matrix: O(gates * m)."""
@@ -89,35 +128,23 @@ def build_instance(r: float, a: int, dim: int, cycles: int, seed: int,
                    shared_layer_gate: bool = False) -> GbsInstance:
     """Build an (r, a, D, C) instance.
 
-    Each beam-splitter receives an independent fresh Haar-random 2 x 2
-    unitary (pass ``shared_layer_gate=True`` to reuse one per layer for
-    experiments). The total unitary is assembled by applying each gate to
-    the running M x M matrix, an O(gates * M) construction, and is
-    unitary to 1e-10 by construction.
+    Each beam-splitter of the delay-line order receives an independent
+    fresh Haar-random 2 x 2 unitary, drawn in gate order (pass
+    ``shared_layer_gate=True`` to reuse one per layer for experiments).
     """
     _validate_lattice(a, dim, cycles)
-    if r < 0:
-        raise ContractViolationError(f"squeezing parameter must be >= 0, got r={r}")
     m = a ** dim
     if m > mode_limit:
         raise ResourceLimitError(f"a^D = {m} exceeds the mode limit of {mode_limit}")
-
     seed = int(seed)
     rng = as_rng(seed)
     gates = []
-    for _ in range(cycles):
-        for d in range(dim):
-            tau = a ** d
-            v_layer = haar_isometry(2, 2, rng) if shared_layer_gate else None
-            for i in range(m - tau):
-                v = v_layer if shared_layer_gate else haar_isometry(2, 2, rng)
-                gates.append(Gate(i, i + tau, v))
-    unitary = _gate_product(m, gates)
-    unitary.setflags(write=False)
-    inst = GbsInstance(r=float(r), a=a, dim=dim, cycles=cycles, seed=seed,
-                       gates=tuple(gates), unitary=unitary)
-    assert len(inst.gates) == expected_gate_count(a, dim, cycles)
-    return inst
+    for layer in _layers(a, dim, cycles):
+        v_layer = haar_isometry(2, 2, rng) if shared_layer_gate else None
+        gates.extend(Gate(i, j, v_layer if shared_layer_gate else haar_isometry(2, 2, rng))
+                     for i, j in layer)
+    return GbsInstance(r=r, a=a, dim=dim, cycles=cycles, seed=seed,
+                       gates=tuple(gates))
 
 
 def adjacency(instance: GbsInstance) -> np.ndarray:
@@ -133,12 +160,10 @@ def adjacency_general(u: np.ndarray, r_vec) -> np.ndarray:
     symmetric by construction.
     """
     u = np.asarray(u)
-    r = np.asarray(r_vec, dtype=float)
+    r = _squeezing(r_vec)
     if r.ndim != 1 or r.shape[0] != u.shape[0]:
         raise ContractViolationError(
             f"r_vec length {r.shape} does not match matrix size {u.shape[0]}")
-    if np.any(r < 0):
-        raise ContractViolationError("squeezing parameters must be >= 0")
     return (u * np.tanh(r)[None, :]) @ u.T
 
 
@@ -226,42 +251,17 @@ def instance_to_json(instance: GbsInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> GbsInstance:
-    """Instance from its JSON form. The stored unitary must be unitary, of
-    size a^D, and equal to the ordered product of the stored gates to
-    GATE_PRODUCT_TOL (max-norm), so that every consumer of the instance
-    sees one circuit."""
-    unitary = matrix_from_json(obj["unitary"])
-    assert_unitary(unitary)
+    """Instance from its JSON form, checked by ``GbsInstance``; the product
+    of its gates must also be unitary."""
     gates = tuple(Gate(_json_int(g["i"], "gate i"), _json_int(g["j"], "gate j"),
                        matrix_from_json(g["v"]))
                   for g in obj["gates"])
-    inst = GbsInstance(r=float(obj["r"]), a=_json_int(obj["a"], "a"),
+    inst = GbsInstance(r=obj["r"], a=_json_int(obj["a"], "a"),
                        dim=_json_int(obj["D"], "D"), cycles=_json_int(obj["C"], "C"),
-                       seed=_json_int(obj["seed"], "seed"), gates=gates, unitary=unitary)
-    m = inst.modes
-    if unitary.shape != (m, m):
-        raise ContractViolationError(
-            f"unitary is {unitary.shape[0]}x{unitary.shape[1]}, expected {m}x{m}")
-    expected = expected_gate_count(inst.a, inst.dim, inst.cycles)
-    if len(gates) != expected:
-        raise ContractViolationError(
-            f"gate list has {len(gates)} entries, expected {expected}")
-    for g in gates:
-        if not 0 <= g.i < g.j < m or g.v.shape != (2, 2):
-            raise ContractViolationError(
-                f"gate on modes ({g.i}, {g.j}) with a {g.v.shape} matrix "
-                f"is not a 2 x 2 gate on {m} modes")
-    defect = float(np.max(np.abs(_gate_product(m, gates) - unitary)))
-    if defect > GATE_PRODUCT_TOL:
-        raise ContractViolationError(
-            f"unitary differs from the product of the gates by {defect:.3e} "
-            f"(> {GATE_PRODUCT_TOL:.1e})")
+                       seed=_json_int(obj["seed"], "seed"), gates=gates,
+                       unitary=matrix_from_json(obj["unitary"]))
+    assert_unitary(inst.unitary)
     return inst
-
-
-def save_instance(instance: GbsInstance, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(instance), fh)
 
 
 def load_instance(path: str) -> GbsInstance:

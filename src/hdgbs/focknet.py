@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuit import GbsInstance
 from .errors import ContractViolationError, ResourceLimitError
-from .matrices import _seed_sequence, assert_unitary
+from .matrices import _counts, _seed_sequence, _squeezing, assert_unitary
 
 MEMORY_GUARD_ELEMS = 10 ** 8
 
@@ -81,6 +81,7 @@ def squeezed_vacuum_tensor(r: float, cutoff: int, label: str = "out") -> FockTen
     """Rank-1 tensor of squeezed-vacuum amplitudes truncated to ``cutoff``
     levels: amp(2k) = (-tanh r)^k sqrt((2k)!) / (2^k k! sqrt(cosh r)),
     zero on odd levels."""
+    _squeezing(r)
     if cutoff < 1:
         raise ContractViolationError(f"cutoff must be >= 1, got {cutoff}")
     amp = np.zeros(cutoff, dtype=complex)
@@ -157,10 +158,7 @@ def build_network(instance: GbsInstance, cutoff: int,
         hops[g.j] += 1
     if pattern is None:
         return TensorNetwork(tuple(tensors), tuple(wire))
-    counts = np.asarray(pattern, dtype=np.intp)
-    if counts.shape[0] != modes:
-        raise ContractViolationError(
-            f"pattern length {counts.shape[0]} does not match {modes} modes")
+    counts = _counts(pattern, modes)
     for q in range(modes):
         tensors.append(fock_basis_vector(int(counts[q]), cutoff, wire[q]))
     return TensorNetwork(tuple(tensors), ())

@@ -53,6 +53,41 @@ def _square(a, dtype=None, stack: bool = False) -> np.ndarray:
     return a
 
 
+def _counts(pattern, modes: int, stack: bool = False) -> np.ndarray:
+    """``pattern`` as an intp array of photon counts, shape (modes,), or with
+    ``stack`` a stack of patterns (..., modes): the one intake of count
+    patterns. A fractional, non-finite or negative entry is a contract
+    violation rather than a count."""
+    raw = np.asarray(pattern)
+    with np.errstate(invalid="ignore"):
+        counts = raw.astype(np.intp, copy=False)
+    if (counts.ndim < 1 if stack else counts.ndim != 1) or counts.shape[-1] != modes:
+        raise ContractViolationError(
+            f"pattern shape {counts.shape} does not match {modes} modes")
+    ok = counts >= 0
+    if raw.dtype.kind not in "iu":
+        ok &= counts == raw
+    if not ok.all():
+        raise ContractViolationError(
+            f"pattern entries must be non-negative integers, got {raw[~ok][0]}")
+    return counts
+
+
+def _squeezing(r) -> np.ndarray:
+    """``r``, one squeezing parameter or an array of them, as a float array
+    once every entry is a finite real number >= 0 (a bool is not): the one
+    check of squeezing."""
+    if np.asarray(r).dtype.kind not in "iuf":
+        raise ContractViolationError(
+            f"squeezing parameters must be real numbers, got {r!r}")
+    r = np.asarray(r, dtype=float)
+    bad = ~((r >= 0.0) & (r < math.inf))      # NaN fails both comparisons
+    if bad.any():
+        raise ContractViolationError(
+            f"squeezing parameters must be finite and >= 0, got r={r[bad][0]}")
+    return r
+
+
 def haar_unitary(m: int, seed) -> np.ndarray:
     """Sample an m x m unitary from the Haar measure on U(m).
 
@@ -88,12 +123,7 @@ def reduce_by_pattern(a: np.ndarray, pattern) -> np.ndarray:
     """
     a = _square(a)
     modes = a.shape[0]
-    counts = np.asarray(pattern, dtype=np.intp)
-    if counts.ndim < 1 or counts.shape[-1] != modes:
-        raise ContractViolationError(
-            f"pattern length {counts.shape} does not match matrix size {modes}")
-    if np.any(counts < 0):
-        raise ContractViolationError("pattern entries must be non-negative")
+    counts = _counts(pattern, modes, stack=True)
     totals = counts.sum(axis=-1)
     total = int(totals.flat[0]) if totals.size else 0
     if np.any(totals != total):
@@ -112,11 +142,8 @@ def symmetric_product_submatrix(u: np.ndarray, pattern, k: int) -> np.ndarray:
     form (N x N, symmetric).
     """
     u = np.asarray(u)
-    counts = np.asarray(pattern, dtype=np.intp)
-    if counts.shape[0] != u.shape[0]:
-        raise ContractViolationError(
-            f"pattern length {counts.shape[0]} does not match matrix size {u.shape[0]}")
-    if not np.all((counts == 0) | (counts == 1)):
+    counts = _counts(pattern, u.shape[0])
+    if counts.max(initial=0) > 1:
         raise ContractViolationError("pattern must be collision-free (entries in {0, 1})")
     if not 1 <= k <= u.shape[1]:
         raise ContractViolationError(f"need 1 <= k <= {u.shape[1]}, got k={k}")
@@ -146,7 +173,7 @@ def symmetry_defect(a: np.ndarray) -> float:
 
 def assert_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
     d = unitarity_defect(u)
-    if d > tol:
+    if not d <= tol:          # a non-finite entry gives a NaN defect
         raise ContractViolationError(f"matrix is not unitary (defect {d:.3e} > {tol:.1e})")
 
 
@@ -160,8 +187,11 @@ def assert_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     mag = np.abs(a).max(axis=(-2, -1))
     defect = np.abs(a - a.swapaxes(-2, -1))
     # a defect within tol passes whatever the magnitude, so the per-matrix
-    # comparison runs only when some entry exceeds it
-    if defect.max() > tol:
+    # comparison runs only when some entry exceeds it; a non-finite entry
+    # leaves a NaN or infinite defect, which "not <=" sends here too
+    if not defect.max() <= tol:
+        if not np.isfinite(mag).all():
+            raise ContractViolationError("matrix entries must be finite")
         defect = defect.max(axis=(-2, -1))
         if (defect > tol * np.maximum(mag, 1.0)).any():
             raise ContractViolationError(
@@ -195,4 +225,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ContractViolationError(
             f"entry count {len(re)}/{len(im)} does not match {rows}x{cols}")
     a = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    if not np.isfinite(a).all():
+        raise ContractViolationError("matrix entries must be finite")
     return a.reshape(rows, cols)

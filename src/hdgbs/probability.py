@@ -23,7 +23,8 @@ from .circuit import GbsInstance, adjacency
 from .errors import ContractViolationError, ResourceLimitError
 from .hafnian import FAST_CEILING, hafnian_fast
 from .logmath import NEG_INF, log_binomial, log_factorial, log_hyp2f1
-from .matrices import _square, as_rng, reduce_by_pattern, symmetric_product_submatrix
+from .matrices import (_counts, _square, _squeezing, as_rng, reduce_by_pattern,
+                       symmetric_product_submatrix)
 
 MASS_SLACK = 1e-9
 PATTERN_BUDGET = 10 ** 7
@@ -44,6 +45,7 @@ class PhotonNumberDist:
     eta: float | None = None
 
     def __post_init__(self):
+        _check_n_max(self.n_max)
         lp = np.asarray(self.log_probs, dtype=float)
         if lp.shape != (self.n_max + 1,):
             raise ContractViolationError(
@@ -85,8 +87,8 @@ class PhotonNumberDist:
 def squeezed_vacuum_log_probs(r: float, n_max: int) -> np.ndarray:
     """log p(n) of a single-mode squeezed vacuum, p(2k) =
     (2k)! tanh^2k(r) / (4^k (k!)^2 cosh r), zero on odd counts."""
-    if r < 0:
-        raise ContractViolationError(f"squeezing parameter must be >= 0, got {r}")
+    _squeezing(r)
+    _check_n_max(n_max)
     lp = np.full(n_max + 1, NEG_INF)
     log_sech = -math.log(math.cosh(r))
     if r == 0.0:
@@ -109,6 +111,11 @@ def _check_eta(eta: float) -> None:
         raise ContractViolationError(f"transmission must lie in [0, 1], got {eta}")
 
 
+def _check_n_max(n_max: int) -> None:
+    if n_max < 0:
+        raise ContractViolationError(f"truncation n_max must be >= 0, got {n_max}")
+
+
 def lossy_total_dist_closed(modes: int, r: float, eta: float,
                             n_max: int) -> PhotonNumberDist:
     """Closed-form total photon-number distribution of M identical
@@ -127,9 +134,9 @@ def lossy_total_dist_closed(modes: int, r: float, eta: float,
     """
     if modes < 1:
         raise ContractViolationError(f"mode count must be >= 1, got {modes}")
-    if r < 0:
-        raise ContractViolationError(f"squeezing parameter must be >= 0, got {r}")
+    _squeezing(r)
     _check_eta(eta)
+    _check_n_max(n_max)
     lp = np.full(n_max + 1, NEG_INF)
     if r == 0.0 or eta == 0.0:
         lp[0] = 0.0
@@ -156,6 +163,7 @@ def binomial_thinning_matrix(eta: float, n_max: int) -> np.ndarray:
     """L[k, n] = C(n, k) eta^k (1-eta)^(n-k): the action of uniform photon
     loss on a count distribution (columns sum to 1)."""
     _check_eta(eta)
+    _check_n_max(n_max)
     size = n_max + 1
     if eta == 1.0:
         return np.eye(size)
@@ -177,12 +185,11 @@ def total_dist_convolution(r_vec, eta: float, n_max: int) -> PhotonNumberDist:
     Serves as the independent cross-check of the closed form; the two
     agree to better than 1e-10 per count over the supported grid.
     """
-    r = np.atleast_1d(np.asarray(r_vec, dtype=float))
+    r = np.atleast_1d(_squeezing(r_vec))
     if r.size == 0:
         raise ContractViolationError("r_vec must contain at least one mode")
-    if np.any(r < 0):
-        raise ContractViolationError("squeezing parameters must be >= 0")
     _check_eta(eta)
+    _check_n_max(n_max)
     r_param = float(r[0]) if np.all(r == r[0]) else tuple(float(x) for x in r)
     # eta = 0 maps every count to zero regardless of the pre-thinning tail,
     # so short-circuit to the exact point mass
@@ -215,12 +222,11 @@ def photon_moments(r, eta: float, modes: int | None = None) -> tuple[float, floa
     which stays polynomial-time for non-uniform inputs.
     """
     _check_eta(eta)
+    r_arr = _squeezing(r)
     if np.isscalar(r):
         if modes is None:
             raise ContractViolationError("scalar r requires a mode count")
         r_arr = np.full(modes, float(r))
-    else:
-        r_arr = np.asarray(r, dtype=float)
     s = np.sinh(r_arr) ** 2
     mean = eta * float(s.sum())
     variance = float(np.sum(eta * s * (1.0 + eta * (1.0 + 2.0 * s))))
@@ -229,8 +235,9 @@ def photon_moments(r, eta: float, modes: int | None = None) -> tuple[float, floa
 
 def mean_total_photons(k: int, r: float) -> float:
     """Expected total photon count of k squeezers at parameter r."""
-    if k < 0 or r < 0:
-        raise ContractViolationError("k and r must be non-negative")
+    if k < 0:
+        raise ContractViolationError(f"k must be non-negative, got {k}")
+    _squeezing(r)
     return k * math.sinh(r) ** 2
 
 
@@ -239,7 +246,8 @@ def most_probable_even(modes: int, r: float) -> int:
     n* = 2 floor((M/2 - 1) sinh^2 r)."""
     if modes < 2:
         raise ContractViolationError(f"mode count must be >= 2, got {modes}")
-    if r <= 0:
+    _squeezing(r)
+    if r == 0:
         return 0
     return 2 * math.floor((modes / 2.0 - 1.0) * math.sinh(r) ** 2)
 
@@ -260,14 +268,11 @@ def outcome_probability(a: np.ndarray, r_vec, pattern,
     """
     a = _square(a)
     modes = a.shape[0]
-    r = np.asarray(r_vec, dtype=float)
+    r = _squeezing(r_vec)
     if r.shape != (modes,):
         raise ContractViolationError(
             f"r_vec has shape {r.shape}, expected ({modes},), one entry per mode")
-    counts = np.asarray(pattern, dtype=np.intp)
-    if counts.ndim < 1 or counts.shape[-1] != modes:
-        raise ContractViolationError(
-            f"pattern length {counts.shape} does not match matrix size {modes}")
+    counts = _counts(pattern, modes, stack=True)
     rows = counts.reshape(-1, modes)
     totals = rows.sum(axis=1)
     if totals.size and totals.max() > FAST_CEILING:
@@ -296,11 +301,9 @@ def collision_free_probability(u: np.ndarray, k: int, r: float, pattern,
 
         Pr(n) = tanh^N(r) / cosh^K(r) * |Haf((U I_K U^T)_nn)|^2.
     """
-    counts = np.asarray(pattern, dtype=np.intp)
-    total = int(counts.sum())
-    if r < 0:
-        raise ContractViolationError(f"squeezing parameter must be >= 0, got {r}")
-    sub = symmetric_product_submatrix(u, counts, k)
+    _squeezing(r)
+    sub = symmetric_product_submatrix(u, pattern, k)
+    total = sub.shape[0]
     h = hafnian_fast(sub, workers=workers)
     if total > 0 and r == 0.0:
         return 0.0
@@ -341,6 +344,7 @@ def exact_sample(instance: GbsInstance, n_max: int, count: int,
     truncated_mass is the probability weight outside the enumerated
     support.
     """
+    _check_n_max(n_max)
     modes = instance.modes
     n_patterns = pattern_count(modes, n_max)
     if n_patterns > PATTERN_BUDGET:

@@ -1,10 +1,11 @@
 """Tests for instance construction, adjacency matrices and loss budgets."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hdgbs.circuit import (LossBudget, adjacency, adjacency_general,
+from hdgbs.circuit import (GbsInstance, LossBudget, adjacency, adjacency_general,
                            build_instance, delay_path_length,
                            expected_gate_count, instance_from_json,
                            instance_to_json, light_cone_band, loss_budget,
@@ -242,3 +243,63 @@ def test_build_determinism():
     a = build_instance(0.8, 2, 3, 1, seed=23)
     b = build_instance(0.8, 2, 3, 1, seed=23)
     assert np.array_equal(a.unitary, b.unitary)
+
+
+def test_loaded_unitary_equals_built_bit_for_bit():
+    # the stored unitary is only a checked copy: a loaded instance keeps the
+    # product of its gates, which equals the built one to the bit (the
+    # parsed copy differed from it in signed zeros)
+    inst = build_instance(0.4, 3, 2, 1, seed=5)
+    back = instance_from_json(json.loads(json.dumps(instance_to_json(inst))))
+    assert back.unitary.tobytes() == inst.unitary.tobytes()
+    assert not back.unitary.flags.writeable
+
+
+def test_instance_forms_its_unitary_from_the_gates():
+    inst = build_instance(0.5, 2, 2, 2, seed=9)
+    again = GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, inst.gates)
+    assert again.unitary.tobytes() == inst.unitary.tobytes()
+    assert not again.unitary.flags.writeable
+    given = inst.unitary + 1e-12
+    kept = GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, inst.gates,
+                       unitary=given)
+    assert kept.unitary.tobytes() == inst.unitary.tobytes()     # the copy is dropped
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda gates: gates[:1] + (gates[1]._replace(j=3),) + gates[2:], "delay-line order"),
+    (lambda gates: gates[::-1], "delay-line order"),
+    (lambda gates: gates[:1] + (gates[1]._replace(v=np.eye(3)),) + gates[2:],
+     "2 x 2 gate on 4 modes"),
+    (lambda gates: gates + gates[:1], "gate list has 6 entries"),
+], ids=["off-order-pair", "reversed", "3x3-matrix", "extra-gate"])
+def test_instance_rejects_gates_off_the_delay_line_order(change, message):
+    inst = build_instance(0.3, 2, 2, 1, seed=7)
+    with pytest.raises(ContractViolationError, match=message):
+        GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, change(inst.gates))
+
+
+@pytest.mark.parametrize("unitary, message", [
+    (np.full((4, 4), np.nan), "product of the gates"),
+    (np.eye(5), "expected 4x4"),
+], ids=["NaN", "wrong-shape"])
+def test_instance_rejects_a_unitary_that_is_not_the_gate_product(unitary, message):
+    inst = build_instance(0.3, 2, 2, 1, seed=7)
+    with pytest.raises(ContractViolationError, match=message):
+        GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, inst.gates,
+                    unitary=unitary)
+
+
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), -0.3])
+def test_build_rejects_non_finite_or_negative_squeezing(r):
+    with pytest.raises(ContractViolationError, match="finite and >= 0"):
+        build_instance(r, 2, 2, 1, seed=0)
+    with pytest.raises(ContractViolationError, match="finite and >= 0"):
+        adjacency_general(np.eye(2), [0.5, r])
+
+
+def test_instance_json_rejects_non_numeric_squeezing():
+    obj = instance_to_json(build_instance(0.3, 2, 2, 1, seed=7))
+    obj["r"] = True
+    with pytest.raises(ContractViolationError, match="must be real numbers"):
+        instance_from_json(obj)

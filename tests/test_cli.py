@@ -378,3 +378,81 @@ def test_sample_cost_rejects_prob_column_that_is_not_exp_log_prob(tmp_path, caps
     assert captured.out == ""
     assert captured.err.startswith(f"contract violation: malformed {zeroed}: row 0: ")
     assert captured.err.count("\n") == 1
+
+
+def _with_gate_product(obj):
+    """``obj`` with its unitary set to the ordered product of its gates, so
+    that the stored copy agrees with the gates and only the structural rules
+    of an instance can reject the file."""
+    u = np.eye(obj["a"] ** obj["D"], dtype=complex)
+    for g in obj["gates"]:
+        v = (np.array(g["v"]["re"]) + 1j * np.array(g["v"]["im"])).reshape(2, 2)
+        u[[g["i"], g["j"]], :] = v @ u[[g["i"], g["j"]], :]
+    return {**obj, "unitary": matrix_to_json(u)}
+
+
+def _gate_03():
+    obj = json.loads(json.dumps(_instance_obj()))
+    obj["gates"][0]["j"] = 3        # modes (0, 3): not the delay-1 gate (0, 1)
+    return _with_gate_product(obj)
+
+
+# instance files that used to load and run with exit 0, each with a unitary
+# that matches its gates
+BAD_INSTANCES = {
+    "a=1": _with_gate_product(_instance_obj(a=1, gates=[])),
+    "C=0": _with_gate_product(_instance_obj(C=0, gates=[])),
+    "r=-0.3": _instance_obj(r=-0.3),
+    "r=NaN": _instance_obj(r=float("nan")),
+    "r=Infinity": _instance_obj(r=float("inf")),
+    "r=true": _instance_obj(r=True),
+    "gate (0, 3)": _gate_03(),
+}
+
+
+@pytest.mark.parametrize("command", ["prob", "tn cost"])
+@pytest.mark.parametrize("case", list(BAD_INSTANCES))
+def test_structurally_invalid_instance_file_exits_2(tmp_path, capsys, case, command):
+    obj = BAD_INSTANCES[case]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    vacuum = ",".join(["0"] * obj["a"] ** obj["D"])
+    argv = (["prob", "--instance", str(path), "--pattern", vacuum] if command == "prob"
+            else ["tn", "cost", "--instance", str(path), "--trials", "2"])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"contract violation: malformed {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["instance", "new", "--r", "nan", "--a", "2", "--D", "2", "--C", "1"],
+    ["instance", "new", "--r", "inf", "--a", "2", "--D", "2", "--C", "1"],
+    ["photondist", "--modes", "4", "--r", "nan", "--nmax", "10"],
+    ["photondist", "--modes", "4", "--r", "0.5", "--nmax", "-1"],
+    ["photondist", "--modes", "4", "--r", "0.5", "--nmax", "-1", "--method", "conv"],
+    ["photondist", "--modes", "4", "--r", "0.5", "--nmax", "-2"],
+    ["photondist", "--modes", "4", "--r", "0.5", "--nmax", "-2", "--method", "conv"],
+], ids=["new-r-nan", "new-r-inf", "photondist-r-nan", "nmax-1", "nmax-1-conv",
+        "nmax-2", "nmax-2-conv"])
+def test_non_finite_squeezing_or_negative_truncation_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("contract violation: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("method", ["fast", "enum"])
+def test_haf_of_non_finite_matrix_exits_2(tmp_path, capsys, value, method):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix_to_json(np.array([[0.0, value], [value, 0.0]]))))
+    assert run(["haf", "--in", str(path), "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"contract violation: malformed {path}: "
+                            "matrix entries must be finite\n")

@@ -266,3 +266,17 @@ def test_plan_rejects_foreign_network():
     bogus = ContractionPlan(order=((0, 99),), est_flops=1.0, max_tensor_elems=1.0)
     with pytest.raises(ContractViolationError):
         contract(net, bogus)
+
+
+@pytest.mark.parametrize("pattern", [[0, 1.5, 0, 0], [0, -1, 0, 0]],
+                         ids=["fractional", "negative"])
+def test_build_network_rejects_a_pattern_that_is_not_counts(pattern):
+    inst = build_instance(0.3, 2, 2, 1, seed=13)
+    with pytest.raises(ContractViolationError, match="non-negative integers"):
+        build_network(inst, cutoff=4, pattern=pattern)
+
+
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), -0.3])
+def test_squeezer_rejects_non_finite_or_negative_squeezing(r):
+    with pytest.raises(ContractViolationError, match="finite and >= 0"):
+        squeezed_vacuum_tensor(r, cutoff=4)

@@ -444,3 +444,16 @@ def test_permanent_via_hafnian_matches_permanent(n):
         ref = permanent(g)
         got = permanent_via_hafnian(g)
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["NaN", "inf"])
+def test_hafnian_fast_rejects_non_finite_matrix(value):
+    # a NaN or infinite entry leaves a NaN symmetry defect, which used to
+    # pass the tolerance check and give nan
+    b = random_symmetric(4, seed=1)
+    b[0, 3] = b[3, 0] = value
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            hafnian_fast(b)
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            hafnian_fast(np.stack([random_symmetric(4, seed=2), b]))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hdgbs.errors import ContractViolationError
-from hdgbs.matrices import (ginibre, haar_isometry, haar_unitary,
+from hdgbs.matrices import (assert_symmetric, assert_unitary, ginibre,
+                            haar_isometry, haar_unitary,
                             matrix_from_json, matrix_to_json, random_symmetric,
                             reduce_by_pattern, symmetric_product_submatrix,
                             symmetry_defect, unitarity_defect)
@@ -160,3 +161,37 @@ def test_matrix_json_rejects_length_mismatch():
     obj = {"rows": 2, "cols": 2, "re": [1.0, 2.0, 3.0], "im": [0.0, 0.0, 0.0]}
     with pytest.raises(ContractViolationError):
         matrix_from_json(obj)
+
+
+@pytest.mark.parametrize("pattern", [[0, 1.9, 1.2, 0], [0, float("nan"), 1, 1],
+                                     [0, -1, 1, 0], [[1, 1, 0, 0], [0, 0.5, 1.5, 0]]],
+                         ids=["fractional", "NaN", "negative", "fractional-in-stack"])
+def test_pattern_entries_must_be_non_negative_integers(pattern):
+    # a fractional count used to be truncated: [0, 1.9, 1.2, 0] read as [0, 1, 1, 0]
+    with pytest.raises(ContractViolationError,
+                       match="pattern entries must be non-negative integers"):
+        reduce_by_pattern(random_symmetric(4, seed=2), pattern)
+
+
+def test_integral_float_and_integer_patterns_agree():
+    a = random_symmetric(4, seed=2)
+    assert np.array_equal(reduce_by_pattern(a, [2.0, 0.0, 1.0, 1.0]),
+                          reduce_by_pattern(a, np.array([2, 0, 1, 1], dtype=np.uint8)))
+
+
+def test_symmetric_product_rejects_fractional_pattern():
+    with pytest.raises(ContractViolationError, match="non-negative integers"):
+        symmetric_product_submatrix(haar_unitary(4, seed=33), [0.5, 0, 1, 0], k=2)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "inf"])
+def test_tolerance_checks_reject_non_finite_matrices(value):
+    u = np.eye(3, dtype=complex)
+    u[1, 2] = u[2, 1] = value
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ContractViolationError, match="not unitary"):
+            assert_unitary(u)
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            assert_symmetric(u)
+    with pytest.raises(ContractViolationError, match="must be finite"):
+        matrix_from_json(matrix_to_json(u))

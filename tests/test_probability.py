@@ -355,3 +355,51 @@ def test_pattern_enumeration_counts():
     assert len(pats) == pattern_count(3, 2) == 10
     assert len(set(pats)) == len(pats)
     assert all(sum(p) <= 2 for p in pats)
+
+
+# ----------------------------------------------- squeezing and truncation
+
+def test_outcome_probability_rejects_fractional_pattern():
+    # [0, 1.9, 1.2, 0] used to give the probability of [0, 1, 1, 0]
+    inst = build_instance(0.3, 2, 2, 1, seed=1)
+    a, r_vec = adjacency(inst), [0.3] * 4
+    assert outcome_probability(a, r_vec, [0, 1, 1, 0]) > 0
+    with pytest.raises(ContractViolationError, match="non-negative integers"):
+        outcome_probability(a, r_vec, [0, 1.9, 1.2, 0])
+    with pytest.raises(ContractViolationError, match="non-negative integers"):
+        collision_free_probability(haar_unitary(4, seed=2), 2, 0.3, [0, 0.5, 1, 0])
+
+
+BAD_R = [float("nan"), float("inf"), -0.3]
+
+
+@pytest.mark.parametrize("r", BAD_R, ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("law", [
+    lambda r: outcome_probability(np.zeros((2, 2)), [0.5, r], [1, 1]),
+    lambda r: collision_free_probability(haar_unitary(2, seed=1), 1, r, [1, 1]),
+    lambda r: photon_moments(r, eta=0.5, modes=4),
+    lambda r: photon_moments([0.5, r], eta=0.5),
+    lambda r: squeezed_vacuum_dist(r, 10),
+    lambda r: lossy_total_dist_closed(4, r, 0.5, 10),
+    lambda r: total_dist_convolution([0.5, r], 0.5, 10),
+    lambda r: mean_total_photons(4, r),
+    lambda r: most_probable_even(4, r),
+], ids=["outcome_probability", "collision_free", "moments-scalar", "moments-vector",
+        "squeezed_vacuum", "closed", "convolution", "mean_total", "most_probable"])
+def test_squeezing_must_be_finite_and_non_negative(law, r):
+    with pytest.raises(ContractViolationError, match="finite and >= 0"):
+        law(r)
+
+
+@pytest.mark.parametrize("n_max", [-1, -2])
+@pytest.mark.parametrize("law", [
+    lambda n_max: squeezed_vacuum_dist(0.5, n_max),
+    lambda n_max: lossy_total_dist_closed(4, 0.5, 0.5, n_max),
+    lambda n_max: total_dist_convolution([0.5] * 4, 0.5, n_max),
+    lambda n_max: binomial_thinning_matrix(0.5, n_max),
+    lambda n_max: PhotonNumberDist(np.zeros(0), n_max),
+    lambda n_max: exact_sample(build_instance(0.3, 2, 1, 1, seed=0), n_max, 1, seed=0),
+], ids=["squeezed_vacuum", "closed", "convolution", "thinning", "dist", "exact_sample"])
+def test_truncation_must_be_non_negative(law, n_max):
+    with pytest.raises(ContractViolationError, match="n_max must be >= 0"):
+        law(n_max)
