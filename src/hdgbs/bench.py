@@ -29,10 +29,11 @@ class BenchRecord:
     threads: int
 
     def __post_init__(self):
-        if self.wall_seconds <= 0:
-            raise ContractViolationError("wall_seconds must be positive")
-        if self.n % 2:
-            raise ContractViolationError(f"benchmark sizes must be even, got {self.n}")
+        if not 0.0 < self.wall_seconds < math.inf:
+            raise ContractViolationError(
+                f"wall_seconds must be positive and finite, got {self.wall_seconds}")
+        if self.n % 2 or self.n < 2:
+            raise ContractViolationError(f"benchmark sizes must be positive even, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,9 @@ class CostModel:
     machine_label: str
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ContractViolationError("model constant must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ContractViolationError("model constant must be positive" if self.c <= 0
+                                         else f"model constant must be finite, got {self.c}")
         if not 0.0 <= self.r_squared <= 1.0:
             raise ContractViolationError("r_squared must lie in [0, 1]")
 
@@ -130,8 +132,9 @@ def residual_trend_pvalue(residuals) -> float:
 def extrapolate(model: CostModel, rmax_ratio: float,
                 machine_label: str | None = None) -> CostModel:
     """Rescale the machine constant by a ratio of peak FLOP scores."""
-    if rmax_ratio <= 0:
-        raise ContractViolationError(f"rmax ratio must be positive, got {rmax_ratio}")
+    if not 0.0 < rmax_ratio < math.inf:
+        raise ContractViolationError(
+            f"rmax ratio must be positive and finite, got {rmax_ratio}")
     label = machine_label or f"{model.machine_label}/ratio{rmax_ratio:g}"
     return CostModel(c=model.c / rmax_ratio, r_squared=model.r_squared,
                      machine_label=label)
@@ -143,10 +146,11 @@ def sample_time_estimate(dist: PhotonNumberDist, model: CostModel,
 
     n_cut is the largest count with Pr(n) >= p_min; the estimate is
     overhead * sum_{n <= n_cut} Pr(n) * c * n^3 * 2^(n/2). Linear in both
-    overhead and the machine constant.
+    overhead and the machine constant; an estimate beyond float range is
+    refused.
     """
-    if overhead < 1:
-        raise ContractViolationError(f"overhead must be >= 1, got {overhead}")
+    if not 1.0 <= overhead < math.inf:
+        raise ContractViolationError(f"overhead must be finite and >= 1, got {overhead}")
     if not 0.0 < p_min < 1.0:
         raise ContractViolationError(f"p_min must lie in (0, 1), got {p_min}")
     lp = np.asarray(dist.log_probs)
@@ -159,5 +163,10 @@ def sample_time_estimate(dist: PhotonNumberDist, model: CostModel,
     ns = np.arange(n_cut + 1)
     with np.errstate(over="raise"):
         probs = np.exp(lp[: n_cut + 1])
-    total = float(np.sum(probs * model.c * ns.astype(float) ** 3 * 2.0 ** (ns / 2.0)))
-    return overhead * total, n_cut
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(probs * model.c * ns.astype(float) ** 3 * 2.0 ** (ns / 2.0)))
+    seconds = overhead * total
+    if not seconds < math.inf:        # an overflow, or NaN from 0 * inf
+        raise ContractViolationError(
+            f"estimate up to n_cut = {n_cut} exceeds float range")
+    return seconds, n_cut

@@ -9,6 +9,7 @@ evaluates the delay-line loss budget and the light-cone bandwidth.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -33,8 +34,9 @@ class Gate(NamedTuple):
 class GbsInstance:
     """An (r, a, D, C) instance: parameters, gates and unitary.
 
-    Every instance, built or loaded, is checked here: a valid lattice, a
-    finite r >= 0 and exactly the 2 x 2 gates of the delay-line order.
+    Every instance, built or loaded, is checked here: a valid lattice of at
+    most MODE_LIMIT modes, a finite r >= 0 and exactly the 2 x 2 gates of
+    the delay-line order.
     ``unitary`` is the read-only ordered product of the gates; a unitary
     passed in must match it to GATE_PRODUCT_TOL (max-norm) and is dropped.
     """
@@ -49,6 +51,10 @@ class GbsInstance:
 
     def __post_init__(self):
         _validate_lattice(self.a, self.dim, self.cycles)
+        # a >= 2, so a D above log2(MODE_LIMIT) is refused before a^D is formed
+        if self.dim >= MODE_LIMIT.bit_length() or self.modes > MODE_LIMIT:
+            raise ResourceLimitError(f"a^D for a={self.a}, D={self.dim} exceeds "
+                                     f"the mode limit of {MODE_LIMIT}")
         object.__setattr__(self, "r", float(_squeezing(self.r)))
         m, given = self.modes, self.unitary
         if given is not None and np.shape(given) != (m, m):
@@ -131,11 +137,14 @@ def build_instance(r: float, a: int, dim: int, cycles: int, seed: int,
     Each beam-splitter of the delay-line order receives an independent
     fresh Haar-random 2 x 2 unitary, drawn in gate order (pass
     ``shared_layer_gate=True`` to reuse one per layer for experiments).
+    ``mode_limit`` can only lower the bound: ``GbsInstance`` refuses more
+    than MODE_LIMIT modes whatever is passed.
     """
     _validate_lattice(a, dim, cycles)
-    m = a ** dim
-    if m > mode_limit:
-        raise ResourceLimitError(f"a^D = {m} exceeds the mode limit of {mode_limit}")
+    mode_limit = min(mode_limit, MODE_LIMIT)
+    if dim >= mode_limit.bit_length() or a ** dim > mode_limit:
+        raise ResourceLimitError(
+            f"a^D for a={a}, D={dim} exceeds the mode limit of {mode_limit}")
     seed = int(seed)
     rng = as_rng(seed)
     gates = []
@@ -215,10 +224,18 @@ def loss_budget(a: int, dim: int, cycles: int, budget: LossBudget) -> float:
 
 def loss_budget_report(a: int, dim: int, cycles: int, budget: LossBudget) -> dict:
     """Loss budget with both the exact path length and the large-a
-    approximation reported."""
+    approximation reported. Path lengths that do not fit a float are
+    refused: the transmissions take them as float exponents."""
     _validate_lattice(a, dim, cycles)
+    # a >= 2, so the path is at least 2^(D-1): refuse before forming a^D
+    if dim > sys.float_info.max_exp:
+        raise ResourceLimitError(f"delay path length for a={a}, D={dim} exceeds float range")
     m = a ** dim
     path = delay_path_length(a, dim)
+    loop_length = m - path if budget.mode == "recirculator" else 0
+    if max(cycles * path, loop_length) > sys.float_info.max:
+        raise ResourceLimitError(
+            f"delay path length for a={a}, D={dim}, C={cycles} exceeds float range")
     eta_bs_total = budget.eta_bs ** (cycles * dim)
     exact = eta_bs_total * budget.eta_unit ** (cycles * path)
     approx = eta_bs_total * budget.eta_unit ** (cycles * a ** (dim - 1))
@@ -231,7 +248,6 @@ def loss_budget_report(a: int, dim: int, cycles: int, budget: LossBudget) -> dic
         "total_transmission_approx": approx,
     }
     if budget.mode == "recirculator":
-        loop_length = m - path
         exact *= budget.eta_recirc ** loop_length
         report["recirculator_length"] = loop_length
     report["total_transmission"] = exact

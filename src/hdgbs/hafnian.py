@@ -27,9 +27,11 @@ the subsets are built once per size and reused by later calls.
 the matrices of a stack share every numpy call of a chunk: the gather,
 the matmuls, the traces and the coefficient recursion run once over all
 of them, which is what makes many small Hafnians cheap (a call at N <= 6
-is mostly fixed overhead). Only the last reduction runs per matrix, on
-the matrix's own contiguous block, so each value equals the one the
-matrix gives alone, bit for bit; a single matrix is the stack of one.
+is mostly fixed overhead). A chunk lays its power traces and series
+coefficients out as (matrix, power, subset), so each matrix owns one
+C-contiguous (power, subset) block from the start. Only the last
+reduction runs per matrix, on that block, so each value equals the one
+the matrix gives alone, bit for bit; a single matrix is the stack of one.
 """
 
 import functools
@@ -158,81 +160,60 @@ def _plan(m: int):
 
 def _power_traces(flat: np.ndarray, m: int, offsets: np.ndarray,
                   out: np.ndarray) -> None:
-    """out[k-1] = tr((X B_S)^k) for k = 1..m, one column per subset and
-    matrix. ``flat`` holds K rescaled 2m x 2m matrices one after another,
-    and column i * count + c of ``out`` belongs to matrix i and subset c.
+    """out[i, k-1, c] = tr((X B_S)^k) for k = 1..m, matrix i of ``flat`` and
+    subset c of ``offsets``. ``flat`` holds K rescaled 2m x 2m matrices, one
+    raveled matrix per row, and ``out`` is (K, m, count).
 
     The powers up to ceil(m/2) come from stacked matmuls; a higher trace
     pairs the top power with a lower one, tr(P^h P^j) = vec((P^h)^T) . vec(P^j).
     """
     count, d = offsets.shape[:2]
-    batch = out.shape[1]
-    if batch > count:         # matrix i starts i * 4m^2 entries into flat
-        offsets = (np.arange(0, flat.size, 4 * m * m).reshape(-1, 1, 1, 1)
-                   + offsets).reshape(batch, d, d)
-    half = (m + 1) // 2
-    pows = np.empty((half, batch, d, d), dtype=complex)
-    # every offset is in [0, K 4m^2) by construction (each subset index lies
+    stack, half = len(flat), (m + 1) // 2
+    pows = np.empty((half, stack, count, d, d), dtype=complex)
+    # every offset is in [0, 4m^2) by construction (each subset index lies
     # in [0, 2m)); mode="clip" lets take write into pows[0] directly, where
     # the default mode would gather into a temporary and copy it
-    flat.take(offsets, out=pows[0], mode="clip")
+    flat.take(offsets, axis=1, out=pows[0], mode="clip")
     for k in range(1, half):
         np.matmul(pows[k - 1], pows[0], out=pows[k])
-    np.einsum("kbii->kb", pows, out=out[:half])
+    np.einsum("kscii->skc", pows, out=out[:, :half])
     if m > half:
-        top = pows[half - 1].transpose(0, 2, 1).reshape(batch, d * d, 1)
-        np.matmul(pows[:m - half].reshape(m - half, batch, d * d).transpose(1, 0, 2),
-                  top, out=out[half:].T[:, :, None])
-
-
-def _by_matrix(tr: np.ndarray, stack: int, blocks) -> np.ndarray:
-    """Reorder (m, stack * count) columns, laid out block by block as in
-    ``_chunk_sum``, into one C-contiguous (m, count) block per matrix."""
-    m = len(tr)
-    out = np.empty((stack, m, tr.shape[1] // stack), dtype=complex)
-    start = 0
-    for offsets in blocks:
-        stop = start + len(offsets)
-        out[:, :, start:stop] = tr[:, stack * start:stack * stop].reshape(
-            m, stack, -1).transpose(1, 0, 2)
-        start = stop
-    return out
+        top = pows[half - 1].transpose(0, 1, 3, 2).reshape(stack, count, d * d, 1)
+        np.matmul(pows[:m - half].reshape(m - half, stack, count, d * d).transpose(1, 2, 0, 3),
+                  top, out=out[:, half:].transpose(0, 2, 1)[..., None])
 
 
 def _chunk_sum(flat: np.ndarray, m: int, chunk: tuple) -> list:
     """Signed sums of [x^m] det(I - x X B_S)^(-1/2) over one chunk of subsets,
     given as (blocks, signs) by ``_plan``, one sum per matrix of ``flat`` (K
-    rescaled 2m x 2m matrices, raveled one after another), with
+    rescaled 2m x 2m matrices, one raveled matrix per row), with
     det(I - x A)^(-1/2) = exp(sum_k tr(A^k) x^k / (2k)).
 
-    The K matrices share every numpy call up to the last: the columns of a
-    block run over (matrix, subset), so a single matrix (K = 1) takes
-    exactly the calls of an unstacked evaluation.
+    The K matrices share every numpy call up to the last. The traces and
+    coefficients are laid out (matrix, power, subset), and block j of the
+    chunk fills the subset columns [start, stop) it owns, so each matrix's
+    own (m, count) block is C-contiguous for the final reduction.
     """
     blocks, sign = chunk
     if sign is None:
         sign = _subset_signs(m, blocks)
-    stack, count = flat.size // (4 * m * m), len(sign)
-    tr = np.empty((m, stack * count), dtype=complex)
+    stack, count = len(flat), len(sign)
+    tr = np.empty((stack, m, count), dtype=complex)
     start = 0
     for offsets in blocks:
         stop = start + len(offsets)
-        _power_traces(flat, m, offsets, tr[:, stack * start:stack * stop])
+        _power_traces(flat, m, offsets, tr[:, :, start:stop])
         start = stop
     # power-series exponential, 2j c_j = sum_{k=1..j} tr_k c_{j-k}, with
-    # c_j stored in rc[m-1-j] so that both operands run forward
-    rc = np.empty((m, stack * count), dtype=complex)
-    rc[m - 1] = 1.0
+    # c_j stored in rc[:, m-1-j] so that both operands run forward
+    rc = np.empty((stack, m, count), dtype=complex)
+    rc[:, m - 1] = 1.0
     for j in range(1, m):
-        np.einsum("kb,kb->b", tr[:j], rc[m - j:], out=rc[m - 1 - j])
-        rc[m - 1 - j] /= 2 * j
+        np.einsum("skb,skb->sb", tr[:, :j], rc[:, m - j:], out=rc[:, m - 1 - j])
+        rc[:, m - 1 - j] /= 2 * j
     # the final reduction runs on each matrix's own C-contiguous (m, count)
     # block: einsum's summation order depends on the operands' layout, so
     # any other layout would change the last bits
-    if stack > 1:
-        tr, rc = _by_matrix(tr, stack, blocks), _by_matrix(rc, stack, blocks)
-    else:
-        tr, rc = [tr], [rc]
     return [complex(np.einsum("kb,kb,b->", t, c, sign)) / (2 * m) for t, c in zip(tr, rc)]
 
 
@@ -304,7 +285,7 @@ def _hafnians(stack: np.ndarray, workers: int | None) -> list:
             scales.extend(part_scales)
             if 0.0 in part_scales:    # a zero matrix stays zero, Hafnian 0
                 scale = np.where(scale > 0.0, scale, 1.0)
-            flat = (part / scale.reshape(-1, 1, 1)).ravel()
+            flat = (part / scale.reshape(-1, 1, 1)).reshape(len(part), -1)
             for chunk in _plan(m):
                 yield lo, flat, chunk
 

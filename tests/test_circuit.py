@@ -76,6 +76,16 @@ def test_band_structure(params):
 def test_mode_limit_guard():
     with pytest.raises(ResourceLimitError):
         build_instance(0.8, 10, 5, 1, seed=0)     # 10^5 modes
+    # a directly constructed instance is bounded too, and a D far above
+    # log2(MODE_LIMIT) is refused before a^D is formed
+    for dim in (13, 20000):
+        with pytest.raises(ResourceLimitError, match=f"a=2, D={dim} exceeds"):
+            GbsInstance(0.3, 2, dim, 1, 0, ())
+    # build_instance's mode_limit can only lower the bound
+    with pytest.raises(ResourceLimitError, match="mode limit of 4096$"):
+        build_instance(0.3, 2, 200000, 1, seed=0, mode_limit=1 << 20)
+    with pytest.raises(ResourceLimitError, match="mode limit of 4$"):
+        build_instance(0.3, 2, 3, 1, seed=0, mode_limit=4)
 
 
 def test_build_rejects_bad_parameters():
@@ -143,6 +153,22 @@ def test_loss_budget_rejects_eta_recirc_in_copies_mode():
     with pytest.raises(ContractViolationError, match="recirculator mode"):
         LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.5)
     LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.5, mode="recirculator")
+
+
+def test_loss_budget_refuses_path_lengths_beyond_float_range():
+    # the transmissions raise each eta to a path length, which must fit a
+    # float; 2^1024 - 1 at (a, D) = (2, 1024) is the first that does not
+    copies = LossBudget(eta_bs=0.99, eta_unit=0.999)
+    recirc = LossBudget(eta_bs=0.99, eta_unit=0.999, eta_recirc=0.99, mode="recirculator")
+    for budget in (copies, recirc):
+        for dim in (1024, 2000, 200000):
+            with pytest.raises(ResourceLimitError, match="exceeds float range"):
+                loss_budget_report(2, dim, 1, budget)
+        assert loss_budget_report(2, 1023, 1, budget)["path_length_exact"] == 2 ** 1023 - 1
+    # at a = 2^600 the path fits but the recirculation loop does not
+    assert loss_budget_report(2 ** 600, 2, 1, copies)["path_length_exact"] == 2 ** 600 + 1
+    with pytest.raises(ResourceLimitError, match="exceeds float range"):
+        loss_budget_report(2 ** 600, 2, 1, recirc)
 
 
 def test_loss_budget_perfect_components():

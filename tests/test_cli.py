@@ -456,3 +456,60 @@ def test_haf_of_non_finite_matrix_exits_2(tmp_path, capsys, value, method):
     assert captured.out == ""
     assert captured.err == (f"contract violation: malformed {path}: "
                             "matrix entries must be finite\n")
+
+
+def test_instance_file_beyond_mode_limit_exits_3(tmp_path, capsys):
+    # refused before a^D is formed, so the check ends at once even at D = 200000
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_instance_obj(D=200000, gates=[])))
+    assert run(["prob", "--instance", str(path), "--pattern", "0,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource limit: a^D for a=2, D=200000 exceeds the mode "
+                            "limit of 4096\n")
+
+
+def test_lossbudget_path_beyond_float_range_exits_3(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert run(["instance", "lossbudget", "--a", "2", "--D", "2000", "--C", "1",
+                "--eta-bs", "0.99", "--eta-unit", "0.999", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource limit: delay path length for a=2, D=2000 "
+                            "exceeds float range\n")
+
+
+NON_FINITE_BENCH = {
+    "fit-nan-wall": ["bench", "fit", "--in", "{nan.csv}"],
+    "extrapolate-nan-c": ["bench", "extrapolate", "--model", "{nan.json}",
+                          "--rmax-ratio", "2"],
+    "extrapolate-nan-ratio": ["bench", "extrapolate", "--model", "{model.json}",
+                              "--rmax-ratio", "nan"],
+    "sample-cost-nan-c": ["bench", "sample-cost", "--dist", "{dist.csv}", "--c", "nan"],
+    "sample-cost-inf-overhead": ["bench", "sample-cost", "--dist", "{dist.csv}",
+                                 "--c", "1e-12", "--overhead", "inf"],
+    "sample-cost-overflow": ["bench", "sample-cost", "--dist", "{dist.csv}",
+                             "--c", "1e308"],
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_BENCH))
+def test_non_finite_cost_model_or_bench_input_exits_2(tmp_path, capsys, case):
+    (tmp_path / "nan.csv").write_text(
+        "n,wall_seconds,reps,threads\n" + "".join(
+            f"{n},{'nan' if n == 20 else 1e-9 * n ** 3 * 2 ** (n / 2)},3,1\n"
+            for n in range(16, 30, 2)))
+    (tmp_path / "nan.json").write_text(json.dumps({**MODEL, "c": float("nan")}))
+    (tmp_path / "model.json").write_text(json.dumps(MODEL))
+    assert run(["photondist", "--modes", "8", "--r", "0.6", "--nmax", "40",
+                "--out", str(tmp_path / "dist.csv")]) == 0
+    out = tmp_path / "out.json"
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a
+            for a in NON_FINITE_BENCH[case]]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("contract violation: ")
+    assert captured.err.count("\n") == 1

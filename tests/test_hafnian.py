@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from hdgbs import hafnian as hafnian_module
 from hdgbs.errors import ContractViolationError, ResourceLimitError
-from hdgbs.hafnian import (_STACK, _plan, _subset_chunks, hafnian_enum, hafnian_fast,
-                           permanent, permanent_enum, permanent_via_hafnian)
+from hdgbs.hafnian import (_STACK, _plan, _power_traces, _subset_chunks, hafnian_enum,
+                           hafnian_fast, permanent, permanent_enum, permanent_via_hafnian)
 from hdgbs.matrices import random_symmetric, reduce_by_pattern
 
 
@@ -123,6 +123,25 @@ def test_only_one_chunk_plans_are_cached():
         fits = m * (m + 1) * 2 ** m <= _STACK
         assert (len(list(_subset_chunks(m))) == 1) == fits
         assert (next(_plan(m)) is next(_plan(m))) == fits
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("m", [3, 6])
+def test_power_traces_match_matrix_powers(m, count):
+    # stage oracle: out[i, k-1, c] = tr((X B_S)^k) for matrix i and subset c,
+    # with X swapping the two indices of each pair; both m pair the top
+    # power with lower ones for k > ceil(m/2)
+    stack = _stack_of(2 * m, count, seed=60 + m)
+    (chunk,) = _subset_chunks(m)
+    blocks, _ = next(_plan(m))
+    for cols, offsets in zip(chunk, blocks):
+        out = np.empty((count, m, len(cols)), dtype=complex)
+        _power_traces(stack.reshape(count, -1), m, offsets, out)
+        swap = np.kron(np.eye(cols.shape[1] // 2), [[0.0, 1.0], [1.0, 0.0]])
+        for i, c in itertools.product(range(count), range(len(cols))):
+            xb = swap @ stack[i][np.ix_(cols[c], cols[c])]
+            ref = [np.trace(np.linalg.matrix_power(xb, k)) for k in range(1, m + 1)]
+            np.testing.assert_allclose(out[i, :, c], ref, rtol=1e-12, atol=0)
 
 
 def test_plan_cache_agrees_under_concurrent_first_use():
