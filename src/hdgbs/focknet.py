@@ -4,14 +4,21 @@ cost estimation.
 A GBS instance becomes a network of one rank-1 squeezer tensor per mode
 and one rank-4 beam-splitter tensor per gate, wired in gate order, with
 output wires either left open or closed by photon-count basis vectors.
-Contraction paths are searched by randomized greedy descent on the size
-of the intermediate produced at each step; the costs are evaluated
-symbolically (no tensor is materialized during the search), which is how
-lattice sizes far beyond any feasible contraction can still be priced.
-"""
 
+Contraction plans are priced symbolically (no tensor is materialized
+during the search), which is how lattice sizes far beyond any feasible
+contraction can still be priced. A search sets up each network once:
+tensor adjacency sets, and a shared plan prefix that absorbs every
+rank-1 tensor into its only neighbour. Randomized greedy trials continue
+from there, each contracting the pair of neighbours with the smallest
+intermediate. The mode-order sweep, a caterpillar plan that follows the
+circuit's band, is priced beside them and kept when strictly cheaper; it
+wins on large delay-line networks and the greedy on small ones.
+"""
+import functools
 import heapq
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +28,8 @@ from .errors import ContractViolationError, ResourceLimitError
 from .matrices import _counts, _seed_sequence, _squeezing, assert_unitary
 
 MEMORY_GUARD_ELEMS = 10 ** 8
+# a wire of mode q after its hop-th gate, as build_network labels it
+_WIRE = re.compile(r"m(\d+)\.\d+")
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,28 @@ def squeezed_vacuum_tensor(r: float, cutoff: int, label: str = "out") -> FockTen
     return FockTensor((label,), amp)
 
 
+@functools.lru_cache(maxsize=4)
+def _beamsplitter_terms(cutoff: int):
+    """The gate-independent part of ``beamsplitter_tensor``: for each entry
+    (m1, m2, n1, n2) that can be non-zero, its terms as (integer
+    coefficient, exponents of v00, v10, v01, v11), and the factor
+    sqrt(m1! m2! / (n1! n2!))."""
+    fact = [math.factorial(q) for q in range(2 * cutoff)]
+    table = []
+    for n1 in range(cutoff):
+        for n2 in range(cutoff):
+            for m1 in range(max(0, n1 + n2 - cutoff + 1), min(cutoff, n1 + n2 + 1)):
+                m2 = n1 + n2 - m1
+                terms = tuple(
+                    (fact[n1] // (fact[j] * fact[n1 - j])
+                     * (fact[n2] // (fact[m1 - j] * fact[n2 - m1 + j])),
+                     j, n1 - j, m1 - j, n2 - m1 + j)
+                    for j in range(max(0, m1 - n2), min(n1, m1) + 1))
+                table.append(((m1, m2, n1, n2), terms,
+                              math.sqrt(fact[m1] * fact[m2] / (fact[n1] * fact[n2]))))
+    return tuple(table)
+
+
 def beamsplitter_tensor(v: np.ndarray, cutoff: int,
                         labels=("o1", "o2", "i1", "i2")) -> FockTensor:
     """Rank-4 Fock representation <m1 m2|B(V)|n1 n2> of a two-mode
@@ -109,20 +140,16 @@ def beamsplitter_tensor(v: np.ndarray, cutoff: int,
     assert_unitary(v)
     if cutoff < 1:
         raise ContractViolationError(f"cutoff must be >= 1, got {cutoff}")
-    fact = [math.factorial(q) for q in range(2 * cutoff)]
+    # numpy scalar arithmetic term by term, in the order of the expansion:
+    # array arithmetic would change the last bits
+    p00, p10, p01, p11 = ([v[p, q] ** k for k in range(cutoff)]
+                          for p, q in ((0, 0), (1, 0), (0, 1), (1, 1)))
     t = np.zeros((cutoff,) * 4, dtype=complex)
-    for n1 in range(cutoff):
-        for n2 in range(cutoff):
-            for m1 in range(max(0, n1 + n2 - cutoff + 1), min(cutoff, n1 + n2 + 1)):
-                m2 = n1 + n2 - m1
-                s = 0.0 + 0.0j
-                for j in range(max(0, m1 - n2), min(n1, m1) + 1):
-                    s += (fact[n1] // (fact[j] * fact[n1 - j])
-                          * (fact[n2] // (fact[m1 - j] * fact[n2 - m1 + j]))
-                          * v[0, 0] ** j * v[1, 0] ** (n1 - j)
-                          * v[0, 1] ** (m1 - j) * v[1, 1] ** (n2 - m1 + j))
-                t[m1, m2, n1, n2] = s * math.sqrt(fact[m1] * fact[m2]
-                                                  / (fact[n1] * fact[n2]))
+    for index, terms, scale in _beamsplitter_terms(cutoff):
+        s = 0.0 + 0.0j
+        for coef, k00, k10, k01, k11 in terms:
+            s += coef * p00[k00] * p10[k10] * p01[k01] * p11[k11]
+        t[index] = s * scale
     return FockTensor(tuple(labels), t)
 
 
@@ -177,24 +204,57 @@ def _mask_size(mask: int, dims, uniform: float | None) -> float:
     return total
 
 
+def _merge(alive, nbrs, order, n_tensors: int, ia: int, ib: int):
+    """Contract alive tensors ia and ib into the next free id, updating the
+    label masks, the neighbour sets and the order; returns (id, neighbours).
+    A label has at most two owners, so the merged tensor's neighbours are
+    exactly those of ia and ib other than the pair itself."""
+    tid = n_tensors + len(order)
+    order.append((ia, ib) if ia < ib else (ib, ia))
+    alive[tid] = alive.pop(ia) ^ alive.pop(ib)
+    joined = (nbrs.pop(ia) | nbrs.pop(ib)) - {ia, ib}
+    for nb in joined:
+        ring = nbrs[nb]
+        ring.discard(ia)
+        ring.discard(ib)
+        ring.add(tid)
+    nbrs[tid] = joined
+    return tid, joined
+
+
 def _search_setup(masks, dims, uniform):
-    """What every greedy trial over one network starts from: the owner set
-    (tensor ids) of each label bit, and (size, ia, ib) for each pair of
-    tensors sharing a label, in the order the trials draw their
-    tie-breakers for them."""
-    owners: dict[int, set] = {}
+    """What every greedy trial over one network starts from.
+
+    The tensor adjacency sets come from the label owners. Then every
+    rank-1 tensor (a squeezer or a basis vector) is absorbed into its only
+    neighbour, in tensor-id order: such a step shrinks the neighbour, so
+    every trial shares it as its plan prefix. Returns that prefix, the
+    alive label masks and neighbour sets after it, and (size, ia, ib) for
+    each remaining pair of neighbours in ascending (ia, ib), the order in
+    which the trials draw their tie-breakers for them.
+    """
+    owners: dict[int, list] = {}
     for tid, mask in enumerate(masks):
         mm = mask
         while mm:
             low = mm & -mm
-            owners.setdefault(low.bit_length() - 1, set()).add(tid)
+            owners.setdefault(low, []).append(tid)
             mm ^= low
-    pairs = []
+    nbrs = {tid: set() for tid in range(len(masks))}
     for tids in owners.values():
         if len(tids) == 2:
-            ia, ib = sorted(tids)
-            pairs.append((_mask_size(masks[ia] ^ masks[ib], dims, uniform), ia, ib))
-    return owners, pairs
+            ia, ib = tids
+            nbrs[ia].add(ib)
+            nbrs[ib].add(ia)
+    alive = dict(enumerate(masks))
+    prefix: list = []
+    for tid, mask in enumerate(masks):
+        # a rank-1 tensor can already be gone, absorbed by a rank-1 partner
+        if mask.bit_count() == 1 and tid in alive and nbrs[tid]:
+            _merge(alive, nbrs, prefix, len(masks), tid, next(iter(nbrs[tid])))
+    pairs = [(_mask_size(alive[ia] ^ alive[ib], dims, uniform), ia, ib)
+             for ia in sorted(alive) for ib in sorted(nbrs[ia]) if ia < ib]
+    return prefix, alive, nbrs, pairs
 
 
 def _tie_breaks(rng, first: int):
@@ -208,20 +268,20 @@ def _tie_breaks(rng, first: int):
 
 def _greedy_path(masks, dims, uniform, setup, rng):
     """One randomized greedy search over a network given as label bitmasks,
-    starting from its ``_search_setup``.
+    continuing from its ``_search_setup``.
 
-    Returns the order. At every step the candidate pair producing the
-    smallest intermediate is contracted, with exact ties broken uniformly
-    at random; that tie noise is the only source of variation between
-    trials.
+    Returns the order. At every step the candidate pair of neighbours
+    producing the smallest intermediate is contracted, with exact ties
+    broken uniformly at random; that tie noise is the only source of
+    variation between trials.
     """
-    first_owners, first_pairs = setup
-    alive = dict(enumerate(masks))
-    owners = {bit: set(tids) for bit, tids in first_owners.items()}
+    prefix, first_alive, first_nbrs, first_pairs = setup
+    alive = dict(first_alive)
+    nbrs = {tid: set(ring) for tid, ring in first_nbrs.items()}
+    order = list(prefix)
     draws = _tie_breaks(rng, len(first_pairs))
     heap = [(size, next(draws), ia, ib) for size, ia, ib in first_pairs]
     heapq.heapify(heap)
-    order = []
     while len(alive) > 1:
         # ids are never reused, so a pair whose two tensors are both still
         # alive is still a valid candidate with its recorded size
@@ -234,26 +294,37 @@ def _greedy_path(masks, dims, uniform, setup, rng):
         if cand is None:
             # disconnected remainder: outer-product the two smallest ids
             cand = tuple(sorted(alive)[:2])
-        ia, ib = cand
-        new_mask = alive.pop(ia) ^ alive.pop(ib)
-        tid = len(masks) + len(order)
-        order.append((ia, ib))
-        alive[tid] = new_mask
-        neighbors = set()
-        mm = new_mask
-        while mm:
-            low = mm & -mm
-            tids = owners[low.bit_length() - 1]
-            tids.discard(ia)
-            tids.discard(ib)
-            tids.add(tid)
-            neighbors |= tids
-            mm ^= low
-        neighbors.discard(tid)
-        for nb in neighbors:
-            pa, pb = (tid, nb) if tid < nb else (nb, tid)
+        tid, joined = _merge(alive, nbrs, order, len(masks), *cand)
+        new_mask = alive[tid]
+        for nb in sorted(joined):
             heapq.heappush(heap, (_mask_size(new_mask ^ alive[nb], dims, uniform),
-                                  next(draws), pa, pb))
+                                  next(draws), nb, tid))
+    return tuple(order)
+
+
+def _sweep_order(network: TensorNetwork):
+    """Caterpillar plan in mode order, or None for a network with a label
+    other than the ``m{q}.{hop}`` wires ``build_network`` makes.
+
+    Tensors are taken by the largest mode they touch, ties broken by
+    tensor id, and each is absorbed into one growing tensor. On a banded
+    circuit this keeps the open wires to those crossing one mode cut.
+    """
+    keys = []
+    for tid, t in enumerate(network.tensors):
+        modes = []
+        for lab in t.labels:
+            wire = _WIRE.fullmatch(lab) if isinstance(lab, str) else None
+            if wire is None:
+                return None
+            modes.append(int(wire[1]))
+        keys.append((max(modes, default=0), tid))
+    tids = [tid for _, tid in sorted(keys)]
+    order = []
+    acc = tids[0] if tids else None
+    for step, tid in enumerate(tids[1:]):
+        order.append((acc, tid) if acc < tid else (tid, acc))
+        acc = len(tids) + step
     return tuple(order)
 
 
@@ -305,16 +376,21 @@ def _plan_cost(masks, order, dims, uniform) -> tuple[float, float]:
 
 
 def contraction_cost(network: TensorNetwork, trials: int, seed) -> ContractionPlan:
-    """Best contraction plan over ``trials`` randomized greedy searches.
+    """Best contraction plan over ``trials`` randomized greedy searches and
+    the mode-order sweep.
 
     Costs count one multiply-add per element of the index union at each
-    step. Nested child seeds make the trial list for t trials a prefix of
-    the list for t' > t trials, so more trials can only improve the
-    reported cost.
+    step. The sweep (see ``_sweep_order``) is priced first and kept only
+    when it strictly beats every greedy trial on (est_flops,
+    max_tensor_elems). Nested child seeds make the trial list for t trials
+    a prefix of the list for t' > t trials, so more trials can only
+    improve the reported cost.
     """
     if trials < 1:
         raise ContractViolationError(f"trials must be >= 1, got {trials}")
     masks, dims, uniform = _network_masks(network)
+    sweep = _sweep_order(network)
+    sweep_cost = None if sweep is None else _plan_cost(masks, sweep, dims, uniform)
     setup = _search_setup(masks, dims, uniform)
     best = None
     for child in _seed_sequence(seed).spawn(trials):
@@ -322,6 +398,8 @@ def contraction_cost(network: TensorNetwork, trials: int, seed) -> ContractionPl
         flops, elems = _plan_cost(masks, order, dims, uniform)
         if best is None or (flops, elems) < (best.est_flops, best.max_tensor_elems):
             best = ContractionPlan(order, flops, elems)
+    if sweep_cost is not None and sweep_cost < (best.est_flops, best.max_tensor_elems):
+        best = ContractionPlan(sweep, *sweep_cost)
     return best
 
 

@@ -185,13 +185,13 @@ def assert_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if a.size == 0:
         return np.zeros(a.shape[:-2])
     mag = np.abs(a).max(axis=(-2, -1))
+    # checked before A - A^T, which would warn on inf - inf
+    if not np.isfinite(mag).all():
+        raise ContractViolationError("matrix entries must be finite")
     defect = np.abs(a - a.swapaxes(-2, -1))
     # a defect within tol passes whatever the magnitude, so the per-matrix
-    # comparison runs only when some entry exceeds it; a non-finite entry
-    # leaves a NaN or infinite defect, which "not <=" sends here too
+    # comparison runs only when some entry exceeds it
     if not defect.max() <= tol:
-        if not np.isfinite(mag).all():
-            raise ContractViolationError("matrix entries must be finite")
         defect = defect.max(axis=(-2, -1))
         if (defect > tol * np.maximum(mag, 1.0)).any():
             raise ContractViolationError(

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from hdgbs.circuit import build_instance, instance_to_json
+from hdgbs.circuit import build_instance, instance_to_json, load_instance
 from hdgbs.cli import build_parser, main
+from hdgbs.focknet import ContractionPlan, _sweep_order, build_network, replay_cost
 from hdgbs.matrices import matrix_to_json
 
 
@@ -128,6 +129,24 @@ def test_tn_cost_and_contract(tmp_path):
     re_, im_, prob = (float(x) for x in out.read_text().split())
     assert re_ ** 2 + im_ ** 2 == pytest.approx(math.cosh(0.3) ** -4, rel=1e-6)
     assert prob == pytest.approx(math.cosh(0.3) ** -4, rel=1e-6)
+
+
+@pytest.mark.parametrize("params, sweep_wins", [(("0.8", "4", "3", "1"), True),
+                                                 (("0.5", "3", "2", "1"), False)])
+def test_tn_cost_reports_at_most_the_sweep(tmp_path, params, sweep_wins):
+    inst_path = tmp_path / "inst.json"
+    r, a, d, c = params
+    run(["instance", "new", "--r", r, "--a", a, "--D", d, "--C", c,
+         "--seed", "3", "--out", str(inst_path)])
+    plan_path = tmp_path / "plan.json"
+    assert run(["tn", "cost", "--instance", str(inst_path), "--cutoff", "4",
+                "--trials", "8", "--out", str(plan_path)]) == 0
+    plan = json.loads(plan_path.read_text())
+    net = build_network(load_instance(str(inst_path)), 4, [0] * int(a) ** int(d))
+    sweep = _sweep_order(net)
+    flops, elems = replay_cost(net, ContractionPlan(sweep, 0.0, 0.0))
+    assert (plan["est_flops"], plan["max_tensor_elems"]) <= (flops, elems)
+    assert (plan["order"] == [list(step) for step in sweep]) == sweep_wins
 
 
 def test_bench_pipeline(tmp_path):

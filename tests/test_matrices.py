@@ -185,6 +185,18 @@ def test_symmetric_product_rejects_fractional_pattern():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "inf"])
+def test_symmetry_check_rejects_non_finite_entry_without_a_warning(value):
+    # no np.errstate guard: the pytest settings turn a RuntimeWarning from
+    # forming A - A^T into a failure
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = a[2, 1] = value
+    with pytest.raises(ContractViolationError, match="must be finite"):
+        assert_symmetric(a)
+    with pytest.raises(ContractViolationError, match="must be finite"):
+        assert_symmetric(np.stack([np.eye(3), a]))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "inf"])
 def test_tolerance_checks_reject_non_finite_matrices(value):
     u = np.eye(3, dtype=complex)
     u[1, 2] = u[2, 1] = value
