@@ -11,9 +11,12 @@ contraction can still be priced. A search sets up each network once:
 tensor adjacency sets, and a shared plan prefix that absorbs every
 rank-1 tensor into its only neighbour. Randomized greedy trials continue
 from there, each contracting the pair of neighbours with the smallest
-intermediate. The mode-order sweep, a caterpillar plan that follows the
+intermediate and pricing every step as it takes it, so no trial is
+replayed. The mode-order sweep, a caterpillar plan that follows the
 circuit's band, is priced beside them and kept when strictly cheaper; it
-wins on large delay-line networks and the greedy on small ones.
+wins on large delay-line networks and the greedy on small ones. Element
+counts saturate at inf past the float range; a search whose best plan
+is still infinite is refused as a resource limit.
 """
 import functools
 import heapq
@@ -191,10 +194,29 @@ def build_network(instance: GbsInstance, cutoff: int,
     return TensorNetwork(tuple(tensors), ())
 
 
-def _mask_size(mask: int, dims, uniform: float | None) -> float:
-    """Element count of a tensor whose index set is the given bitmask."""
-    if uniform is not None:
-        return uniform ** mask.bit_count()
+def _size_rule(dims):
+    """The element count of a tensor as a function of its label bitmask,
+    built once per network and read by the search, the pricing and
+    ``contract`` alike.
+
+    Counts saturate at inf instead of raising. Uniform dims read a table
+    of ``dim ** k`` by bit count k, computed up to the float limit and inf
+    beyond it; mixed dims multiply the dims per label, lowest bit first.
+    """
+    if dims and len(set(dims)) == 1:
+        uniform = float(dims[0])
+        table = []
+        for k in range(len(dims) + 1):
+            try:
+                table.append(uniform ** k)
+            except OverflowError:
+                table.extend([math.inf] * (len(dims) + 1 - k))
+                break
+        return lambda mask: table[mask.bit_count()]
+    return functools.partial(_product_size, dims)
+
+
+def _product_size(dims, mask: int) -> float:
     total = 1.0
     mm = mask
     while mm:
@@ -222,16 +244,17 @@ def _merge(alive, nbrs, order, n_tensors: int, ia: int, ib: int):
     return tid, joined
 
 
-def _search_setup(masks, dims, uniform):
+def _search_setup(masks, size):
     """What every greedy trial over one network starts from.
 
     The tensor adjacency sets come from the label owners. Then every
     rank-1 tensor (a squeezer or a basis vector) is absorbed into its only
     neighbour, in tensor-id order: such a step shrinks the neighbour, so
     every trial shares it as its plan prefix. Returns that prefix, the
-    alive label masks and neighbour sets after it, and (size, ia, ib) for
+    alive label masks and neighbour sets after it, (size, ia, ib) for
     each remaining pair of neighbours in ascending (ia, ib), the order in
-    which the trials draw their tie-breakers for them.
+    which the trials draw their tie-breakers for them, and the prefix's
+    running (est_flops, max_elems) as ``_plan_cost`` counts them.
     """
     owners: dict[int, list] = {}
     for tid, mask in enumerate(masks):
@@ -248,13 +271,18 @@ def _search_setup(masks, dims, uniform):
             nbrs[ib].add(ia)
     alive = dict(enumerate(masks))
     prefix: list = []
+    flops = 0.0
+    max_elems = max((size(m) for m in masks), default=1.0)
     for tid, mask in enumerate(masks):
         # a rank-1 tensor can already be gone, absorbed by a rank-1 partner
         if mask.bit_count() == 1 and tid in alive and nbrs[tid]:
-            _merge(alive, nbrs, prefix, len(masks), tid, next(iter(nbrs[tid])))
-    pairs = [(_mask_size(alive[ia] ^ alive[ib], dims, uniform), ia, ib)
+            nb = next(iter(nbrs[tid]))
+            flops += size(alive[tid] | alive[nb])
+            max_elems = max(max_elems, size(alive[tid] ^ alive[nb]))
+            _merge(alive, nbrs, prefix, len(masks), tid, nb)
+    pairs = [(size(alive[ia] ^ alive[ib]), ia, ib)
              for ia in sorted(alive) for ib in sorted(nbrs[ia]) if ia < ib]
-    return prefix, alive, nbrs, pairs
+    return prefix, alive, nbrs, pairs, flops, max_elems
 
 
 def _tie_breaks(rng, first: int):
@@ -266,40 +294,44 @@ def _tie_breaks(rng, first: int):
         yield from rng.random(block).tolist()
 
 
-def _greedy_path(masks, dims, uniform, setup, rng):
+def _greedy_path(n_tensors: int, size, setup, rng):
     """One randomized greedy search over a network given as label bitmasks,
     continuing from its ``_search_setup``.
 
-    Returns the order. At every step the candidate pair of neighbours
-    producing the smallest intermediate is contracted, with exact ties
-    broken uniformly at random; that tie noise is the only source of
-    variation between trials.
+    Returns (order, est_flops, max_elems), priced while the order is built
+    and equal to what ``_plan_cost`` gives for it. At every step the
+    candidate pair of neighbours producing the smallest intermediate is
+    contracted, with exact ties broken uniformly at random; that tie noise
+    is the only source of variation between trials.
     """
-    prefix, first_alive, first_nbrs, first_pairs = setup
+    prefix, first_alive, first_nbrs, first_pairs, flops, max_elems = setup
     alive = dict(first_alive)
     nbrs = {tid: set(ring) for tid, ring in first_nbrs.items()}
     order = list(prefix)
     draws = _tie_breaks(rng, len(first_pairs))
-    heap = [(size, next(draws), ia, ib) for size, ia, ib in first_pairs]
+    heap = [(elems, next(draws), ia, ib) for elems, ia, ib in first_pairs]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     while len(alive) > 1:
         # ids are never reused, so a pair whose two tensors are both still
-        # alive is still a valid candidate with its recorded size
-        cand = None
+        # alive is still a valid candidate, and its recorded size is that
+        # of the tensor it makes
         while heap:
-            _, _, ia, ib = heapq.heappop(heap)
+            elems, _, ia, ib = heappop(heap)
             if ia in alive and ib in alive:
-                cand = (ia, ib)
                 break
-        if cand is None:
+        else:
             # disconnected remainder: outer-product the two smallest ids
-            cand = tuple(sorted(alive)[:2])
-        tid, joined = _merge(alive, nbrs, order, len(masks), *cand)
+            ia, ib = sorted(alive)[:2]
+            elems = size(alive[ia] ^ alive[ib])
+        flops += size(alive[ia] | alive[ib])
+        if elems > max_elems:
+            max_elems = elems
+        tid, joined = _merge(alive, nbrs, order, n_tensors, ia, ib)
         new_mask = alive[tid]
         for nb in sorted(joined):
-            heapq.heappush(heap, (_mask_size(new_mask ^ alive[nb], dims, uniform),
-                                  next(draws), nb, tid))
-    return tuple(order)
+            heappush(heap, (size(new_mask ^ alive[nb]), next(draws), nb, tid))
+    return tuple(order), flops, max_elems
 
 
 def _sweep_order(network: TensorNetwork):
@@ -340,8 +372,7 @@ def _network_masks(network: TensorNetwork):
                 dims.append(int(dim))
             mask |= 1 << label_bits[lab]
         masks.append(mask)
-    uniform = float(dims[0]) if dims and len(set(dims)) == 1 else None
-    return masks, dims, uniform
+    return masks, _size_rule(dims)
 
 
 def _replay(masks, order):
@@ -362,14 +393,14 @@ def _replay(masks, order):
         raise ContractViolationError("plan does not contract the network fully")
 
 
-def _plan_cost(masks, order, dims, uniform) -> tuple[float, float]:
+def _plan_cost(masks, order, size) -> tuple[float, float]:
     """(est_flops, max_elems) of a plan: one multiply-add per element of
     each step's index union, and the largest tensor, inputs included."""
     flops = 0.0
-    max_elems = max((_mask_size(m, dims, uniform) for m in masks), default=1.0)
+    max_elems = max((size(m) for m in masks), default=1.0)
     for _, _, union, out in _replay(masks, order):
-        flops += _mask_size(union, dims, uniform)
-        elems = _mask_size(out, dims, uniform)
+        flops += size(union)
+        elems = size(out)
         if elems > max_elems:
             max_elems = elems
     return flops, max_elems
@@ -380,41 +411,47 @@ def contraction_cost(network: TensorNetwork, trials: int, seed) -> ContractionPl
     the mode-order sweep.
 
     Costs count one multiply-add per element of the index union at each
-    step. The sweep (see ``_sweep_order``) is priced first and kept only
-    when it strictly beats every greedy trial on (est_flops,
-    max_tensor_elems). Nested child seeds make the trial list for t trials
-    a prefix of the list for t' > t trials, so more trials can only
-    improve the reported cost.
+    step. Each greedy trial is priced while it is built; the sweep (see
+    ``_sweep_order``) is priced first and kept only when it strictly beats
+    every greedy trial on (est_flops, max_tensor_elems). Nested child
+    seeds make the trial list for t trials a prefix of the list for
+    t' > t trials, so more trials can only improve the reported cost.
+    Element counts saturate at inf; when even the best plan's est_flops
+    is infinite, ResourceLimitError is raised.
     """
     if trials < 1:
         raise ContractViolationError(f"trials must be >= 1, got {trials}")
-    masks, dims, uniform = _network_masks(network)
+    masks, size = _network_masks(network)
     sweep = _sweep_order(network)
-    sweep_cost = None if sweep is None else _plan_cost(masks, sweep, dims, uniform)
-    setup = _search_setup(masks, dims, uniform)
+    sweep_cost = None if sweep is None else _plan_cost(masks, sweep, size)
+    setup = _search_setup(masks, size)
     best = None
     for child in _seed_sequence(seed).spawn(trials):
-        order = _greedy_path(masks, dims, uniform, setup, np.random.default_rng(child))
-        flops, elems = _plan_cost(masks, order, dims, uniform)
+        order, flops, elems = _greedy_path(len(masks), size, setup,
+                                           np.random.default_rng(child))
         if best is None or (flops, elems) < (best.est_flops, best.max_tensor_elems):
             best = ContractionPlan(order, flops, elems)
     if sweep_cost is not None and sweep_cost < (best.est_flops, best.max_tensor_elems):
         best = ContractionPlan(sweep, *sweep_cost)
+    if not math.isfinite(best.est_flops):
+        raise ResourceLimitError(
+            "no contraction plan found whose cost fits the float range")
     return best
 
 
 def replay_cost(network: TensorNetwork, plan: ContractionPlan) -> tuple[float, float]:
     """Symbolically replay a plan, returning (est_flops, max_elems);
     validates that the order is a full contraction of this network."""
-    masks, dims, uniform = _network_masks(network)
-    return _plan_cost(masks, plan.order, dims, uniform)
+    masks, size = _network_masks(network)
+    return _plan_cost(masks, plan.order, size)
 
 
 def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
              memory_guard: float = MEMORY_GUARD_ELEMS, seed=0,
              count_ops: bool = False):
-    """Contract the network, following ``plan`` (or a fresh single-trial
-    greedy plan when none is given).
+    """Contract the network, following ``plan`` (or, when none is given,
+    the plan ``contraction_cost`` picks with one greedy trial from
+    ``seed`` and the mode-order sweep).
 
     Refuses any step whose output tensor would exceed ``memory_guard``
     elements. Returns the scalar amplitude for closed networks and the
@@ -423,12 +460,12 @@ def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
     """
     if plan is None:
         plan = contraction_cost(network, trials=1, seed=seed)
-    masks, dims, uniform = _network_masks(network)
+    masks, size = _network_masks(network)
     # indexed by tensor id: step k appends its result at T + k
     tensors = [(t.labels, t.values) for t in network.tensors]
     ops = 0.0
     for ia, ib, _, out in _replay(masks, plan.order):
-        out_elems = _mask_size(out, dims, uniform)
+        out_elems = size(out)
         if out_elems > memory_guard:
             raise ResourceLimitError(
                 f"intermediate of {out_elems:.3e} elements exceeds the "

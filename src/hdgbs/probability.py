@@ -172,9 +172,12 @@ def binomial_thinning_matrix(eta: float, n_max: int) -> np.ndarray:
         mat[0, :] = 1.0
         return mat
     log_eta, log_keep = math.log(eta), math.log1p(-eta)
+    # lgamma(j + 1) once per j: log C(n, k) = lf[n] - lf[k] - lf[n - k]
+    lf = [math.lgamma(j + 1) for j in range(size)]
+    exp = math.exp
     for n in range(size):
-        for k in range(n + 1):
-            mat[k, n] = math.exp(log_binomial(n, k) + k * log_eta + (n - k) * log_keep)
+        mat[:n + 1, n] = [exp(lf[n] - lf[k] - lf[n - k] + k * log_eta + (n - k) * log_keep)
+                          for k in range(n + 1)]
     return mat
 
 

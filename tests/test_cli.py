@@ -149,6 +149,37 @@ def test_tn_cost_reports_at_most_the_sweep(tmp_path, params, sweep_wins):
     assert (plan["order"] == [list(step) for step in sweep]) == sweep_wins
 
 
+def test_tn_cost_beyond_float_range_prices_the_sweep(tmp_path, capsys):
+    # intermediates of this 512-mode network pass 4^512, so element counts
+    # must saturate at inf rather than overflow; the sweep still fits
+    inst_path = tmp_path / "inst.json"
+    assert run(["instance", "new", "--r", "0.8", "--a", "8", "--D", "3", "--C", "1",
+                "--seed", "1", "--out", str(inst_path)]) == 0
+    assert run(["tn", "cost", "--instance", str(inst_path), "--cutoff", "8",
+                "--trials", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "Infinity" not in captured.out
+    plan = json.loads(captured.out)
+    assert plan["est_flops"] == 2.3824428586556006e+136
+    assert math.isfinite(plan["max_tensor_elems"])
+
+
+def test_tn_cost_with_no_plan_in_float_range_exits_3(tmp_path, capsys):
+    # at cutoff 6 the 512-mode a = 2, D = 9 network has no plan whose
+    # est_flops fits a float
+    inst_path = tmp_path / "inst.json"
+    assert run(["instance", "new", "--r", "0.8", "--a", "2", "--D", "9", "--C", "1",
+                "--seed", "1", "--out", str(inst_path)]) == 0
+    plan_path = tmp_path / "plan.json"
+    assert run(["tn", "cost", "--instance", str(inst_path), "--cutoff", "6",
+                "--trials", "1", "--out", str(plan_path)]) == 3
+    assert not plan_path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource limit: no contraction plan found whose cost "
+                            "fits the float range\n")
+
+
 def test_bench_pipeline(tmp_path):
     csv = tmp_path / "bench.csv"
     assert run(["bench", "run", "--sizes", "8,10,12,14,16,18,20,22",

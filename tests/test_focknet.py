@@ -1,6 +1,7 @@
 """Tests for Fock tensors, network construction, path costs and
 contraction, including the cross-engine agreement with the Hafnian route."""
 import hashlib
+import heapq
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 
 from hdgbs.circuit import adjacency, build_instance, light_cone_band
 from hdgbs.errors import ContractViolationError, ResourceLimitError
-from hdgbs.focknet import (ContractionPlan, FockTensor, TensorNetwork, _sweep_order,
+from hdgbs.focknet import (ContractionPlan, FockTensor, TensorNetwork, _greedy_path,
+                           _merge, _network_masks, _product_size, _replay,
+                           _search_setup, _size_rule, _sweep_order, _tie_breaks,
                            beamsplitter_tensor, build_network, contract,
                            contraction_cost, fock_basis_vector, replay_cost,
                            squeezed_vacuum_tensor)
-from hdgbs.matrices import haar_unitary
+from hdgbs.matrices import _seed_sequence, haar_unitary
 from hdgbs.probability import (enumerate_patterns, outcome_probability,
                                squeezed_vacuum_dist)
 
@@ -188,6 +191,138 @@ def test_plan_search_pins_plans(params, seeds, est_flops, order_sha256):
     plan = contraction_cost(net, trials=32, seed=seeds[1])
     assert plan.est_flops == est_flops
     assert hashlib.sha256(repr(plan.order).encode()).hexdigest() == order_sha256
+
+
+def _oracle_size(mask, dims):
+    # the per-bit product, or dim ** popcount when every dim is the same
+    if len(set(dims)) == 1:
+        return float(dims[0]) ** mask.bit_count()
+    total = 1.0
+    for bit, dim in enumerate(dims):
+        if mask >> bit & 1:
+            total *= dim
+    return total
+
+
+def _oracle_greedy(masks, dims, setup, rng):
+    # the search before it priced its own steps: build the order only, from
+    # the same shared prefix, neighbour sets and tie-breaker draws
+    prefix, first_alive, first_nbrs, first_pairs = setup[:4]
+    alive = dict(first_alive)
+    nbrs = {tid: set(ring) for tid, ring in first_nbrs.items()}
+    order = list(prefix)
+    draws = _tie_breaks(rng, len(first_pairs))
+    heap = [(size, next(draws), ia, ib) for size, ia, ib in first_pairs]
+    heapq.heapify(heap)
+    while len(alive) > 1:
+        cand = None
+        while heap:
+            _, _, ia, ib = heapq.heappop(heap)
+            if ia in alive and ib in alive:
+                cand = (ia, ib)
+                break
+        if cand is None:
+            cand = tuple(sorted(alive)[:2])
+        tid, joined = _merge(alive, nbrs, order, len(masks), *cand)
+        for nb in sorted(joined):
+            heapq.heappush(heap, (_oracle_size(alive[tid] ^ alive[nb], dims),
+                                  next(draws), nb, tid))
+    return tuple(order)
+
+
+def _oracle_plan_cost(masks, order, dims):
+    # a second walk over the finished order, as the search used to price it
+    flops = 0.0
+    max_elems = max(_oracle_size(m, dims) for m in masks)
+    for _, _, union, out in _replay(masks, order):
+        flops += _oracle_size(union, dims)
+        max_elems = max(max_elems, _oracle_size(out, dims))
+    return flops, max_elems
+
+
+def _mixed_dims_network():
+    # a 3 x 4 grid with bonds of 2, 3 and 5 levels, a rank-1 tensor on every
+    # corner and one open wire: every step of the search sees mixed dims
+    rows, cols = 3, 4
+    labels = {(r, c): [] for r in range(rows) for c in range(cols)}
+    dims = {}
+    for r in range(rows):
+        for c in range(cols):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < rows and c + dc < cols:
+                    lab = f"b{r}{c}{r + dr}{c + dc}"
+                    dims[lab] = (2, 3, 5)[(r + 2 * c + dr) % 3]
+                    labels[r, c].append(lab)
+                    labels[r + dr, c + dc].append(lab)
+    tensors = []
+    for corner in ((0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)):
+        lab = f"leg{corner[0]}{corner[1]}"
+        dims[lab] = 4
+        labels[corner].append(lab)
+        tensors.append(FockTensor((lab,), np.ones(4, dtype=complex)))
+    labels[1, 1].append("open")
+    dims["open"] = 3
+    for labs in labels.values():
+        tensors.append(FockTensor(tuple(labs), np.ones([dims[lab] for lab in labs],
+                                                       dtype=complex)))
+    return TensorNetwork(tuple(tensors), ("open",))
+
+
+def _instance_network(params, seed, cutoff, pattern=None):
+    inst = build_instance(*params, seed=seed)
+    return build_network(inst, cutoff, [0] * inst.modes if pattern is None else pattern)
+
+
+@pytest.mark.parametrize("make_net, trials, seed", [
+    (lambda: _instance_network((0.8, 6, 3, 1), 506, 4), 8, 606),
+    (lambda: _instance_network((0.5, 3, 2, 1), 1, 4), 32, 0),
+    (lambda: _instance_network((0.3, 2, 2, 1), 7, 12, [0, 2, 0, 2]), 32, 3),
+    (_mixed_dims_network, 32, 5),
+], ids=["216-modes", "a3-D2", "a2-pattern-cutoff-12", "mixed-dims"])
+def test_search_prices_each_trial_as_the_replay_did(make_net, trials, seed):
+    # every trial's (order, est_flops, max_tensor_elems) equals the order-only
+    # search followed by a second walk to price it, bit for bit
+    net = make_net()
+    masks, size = _network_masks(net)
+    dims = {}        # in label-bit order: by first appearance
+    for t in net.tensors:
+        for lab, dim in zip(t.labels, t.values.shape):
+            dims.setdefault(lab, dim)
+    dims = list(dims.values())
+    setup = _search_setup(masks, size)
+    for child in _seed_sequence(seed).spawn(trials):
+        order, flops, elems = _greedy_path(len(masks), size, setup,
+                                           np.random.default_rng(child))
+        oracle = _oracle_greedy(masks, dims, setup, np.random.default_rng(child))
+        assert order == oracle
+        assert (flops, elems) == _oracle_plan_cost(masks, oracle, dims)
+        assert replay_cost(net, ContractionPlan(order, 0.0, 0.0)) == (flops, elems)
+
+
+def test_size_rule_saturates_past_the_float_limit():
+    # 1,426 labels of 4 levels, as in the 216-mode network: 4.0 ** 512
+    # overflows, so the table stops at the float limit and reads inf beyond
+    uniform = _size_rule([4] * 1426)
+    for k in (0, 1, 511, 512, 1426):
+        mask = (1 << k) - 1
+        assert uniform(mask) == _product_size([4] * 1426, mask)
+    assert uniform((1 << 511) - 1) == 4.0 ** 511
+    assert uniform((1 << 512) - 1) == math.inf
+    mixed = _size_rule([4] * 1425 + [2])
+    assert mixed((1 << 511) - 1) == 4.0 ** 511
+    assert mixed((1 << 1426) - 1) == math.inf
+
+
+@pytest.mark.parametrize("levels", [[2 ** 58] * 20, [2 ** 58, 2 ** 57] * 10],
+                         ids=["uniform", "mixed"])
+def test_search_refuses_a_network_no_plan_can_price(levels):
+    # twenty open wires of 2^57-2^58 levels each: every plan ends in an outer
+    # product of over 2^1150 elements. The tensors are zero-stride views
+    tensors = tuple(FockTensor((f"w{q}",), np.broadcast_to(np.complex128(0), (n,)))
+                    for q, n in enumerate(levels))
+    net = TensorNetwork(tensors, tuple(f"w{q}" for q in range(len(levels))))
+    with pytest.raises(ResourceLimitError, match="fits the float range"):
+        contraction_cost(net, trials=2, seed=0)
 
 
 def _sweep_cost(net):

@@ -160,6 +160,25 @@ def test_thinning_matrix_columns_sum_to_one():
     assert np.abs(mat.sum(axis=0) - 1.0).max() < 1e-12
 
 
+def _thinning_loop(eta, n_max):
+    # lgamma three times per entry: the oracle for the log-factorial list
+    mat = np.zeros((n_max + 1, n_max + 1))
+    log_eta, log_keep = math.log(eta), math.log1p(-eta)
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            mat[k, n] = math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                                 - math.lgamma(n - k + 1) + k * log_eta
+                                 + (n - k) * log_keep)
+    return mat
+
+
+@pytest.mark.parametrize("eta, n_max", [(0.5, 400), (0.3, 50), (0.9, 400), (0.01, 120),
+                                        (0.37, 0)])
+def test_thinning_matrix_matches_the_lgamma_loop_bit_for_bit(eta, n_max):
+    got = binomial_thinning_matrix(eta, n_max)
+    assert got.tobytes() == _thinning_loop(eta, n_max).tobytes()
+
+
 def test_dist_type_rejects_overfull_mass():
     with pytest.raises(ContractViolationError):
         PhotonNumberDist(np.array([0.0, 0.0]), 1, 1, 0.5, 1.0)  # two units of mass
