@@ -34,6 +34,9 @@ class BenchRecord:
                 f"wall_seconds must be positive and finite, got {self.wall_seconds}")
         if self.n % 2 or self.n < 2:
             raise ContractViolationError(f"benchmark sizes must be positive even, got {self.n}")
+        if self.reps < 1 or self.threads < 1:
+            raise ContractViolationError(
+                f"reps and threads must be >= 1, got {self.reps} and {self.threads}")
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,17 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_pattern(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok != ""]
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1)
+    threads.add_argument("--threads", type=_positive_int, default=1)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)
 

@@ -454,10 +454,12 @@ def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
     ``seed`` and the mode-order sweep).
 
     Refuses any step whose output tensor would exceed ``memory_guard``
-    elements. Returns the scalar amplitude for closed networks and the
-    final open tensor's values otherwise; with ``count_ops`` the realized
-    multiply-add count is returned alongside.
+    elements, and a guard that is not > 0. Returns the scalar amplitude
+    for closed networks and the final open tensor's values otherwise; with
+    ``count_ops`` the realized multiply-add count is returned alongside.
     """
+    if not memory_guard > 0:
+        raise ContractViolationError(f"memory guard must be > 0, got {memory_guard}")
     if plan is None:
         plan = contraction_cost(network, trials=1, seed=seed)
     masks, size = _network_masks(network)

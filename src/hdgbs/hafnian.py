@@ -19,8 +19,10 @@ because zgemm's cost per multiply-add falls as the blocks grow.
 The subsets are enumerated in a fixed canonical order (by size, then
 lexicographic) and their partial sums are reduced chunk by chunk in that
 order, so results are bit-identical whether run serially or on a thread
-pool. When every subset fits one chunk (N <= 18), the gather offsets of
-the subsets are built once per size and reused by later calls.
+pool. A chunk is a list of blocks of gather offsets, one block per run
+of same-size subsets, and a block's width gives its subsets' sign. When
+every subset fits one chunk (N <= 18), that chunk is built once per size
+and reused by later calls.
 
 ``hafnian_fast`` also takes a stack of matrices, shape (..., N, N), as
 ``numpy.linalg`` does. Up to about ``_STACK`` entries of subset blocks,
@@ -88,10 +90,13 @@ def hafnian_enum(b: np.ndarray, limit: int = ENUM_LIMIT) -> complex:
 def _subset_chunks(m: int):
     """Yield the non-empty subsets of the m index pairs in canonical order
     (by size, then lexicographic), cut into chunks of at most ``_STACK``
-    matrix entries. A chunk is a list of (count, 2s) arrays, one per run
-    of consecutive size-s subsets, and row r of such an array lists the 2s
-    matrix indices of one subset, each in [0, 2m); a chunk may span several
-    sizes, and its extent depends only on m.
+    matrix entries. A chunk is a list of (count, 2s, 2s) blocks, one per
+    run of consecutive size-s subsets; a chunk may span several sizes, and
+    its extent depends only on m.
+
+    Block row c holds the flat offsets of X B_S in the 2m x 2m matrix for
+    one subset S with indices cols, each in [0, 2m): row i of X B_S is row
+    cols[i] ^ 1 of B, since X swaps the two indices of each pair.
     """
     pair_cols = np.arange(2 * m).reshape(m, 2)
     chunk, room = [], _STACK
@@ -106,56 +111,38 @@ def _subset_chunks(m: int):
             count = min(left, max(1, room // area))
             pairs = np.fromiter(chain.from_iterable(islice(combos, count)),
                                 dtype=np.intp, count=count * s)
-            chunk.append(pair_cols[pairs].reshape(count, 2 * s))
+            cols = pair_cols[pairs].reshape(count, 2 * s)
+            chunk.append(((cols ^ 1) * (2 * m))[:, :, None] + cols[:, None, :])
             room -= area * count
             left -= count
     yield chunk
 
 
-def _gather_offsets(m: int, cols: np.ndarray) -> np.ndarray:
-    """Flat offsets of X B_S in the 2m x 2m matrix, one (2s, 2s) block per
-    row of ``cols``: row i of X B_S is row cols[i] ^ 1 of B, since X swaps
-    the two indices of each pair."""
-    return ((cols ^ 1) * (2 * m))[:, :, None] + cols[:, None, :]
-
-
-def _subset_signs(m: int, blocks) -> np.ndarray:
-    """The inclusion-exclusion sign (-1)^(m - s) of each subset of a chunk,
-    given as blocks of gather offsets."""
-    return np.repeat([-1.0 if (m - offsets.shape[1] // 2) % 2 else 1.0 for offsets in blocks],
-                     [len(offsets) for offsets in blocks])
-
-
 @functools.cache
 def _one_chunk_plan(m: int) -> tuple:
-    """(blocks, signs) of every subset when all of them fit one chunk: the
-    gather offsets of each block and ``_subset_signs``.
+    """The blocks of every subset when all of them fit one chunk.
 
     They depend only on m, so they are built once per m and reused; at
-    N <= 18 enumerating the subsets and building their offsets and signs
-    would otherwise be 15-30% of each call. Only m <= 9 reaches here, so
-    the cache holds at most 9 plans, and their arrays are read-only because
+    N <= 18 enumerating the subsets and building their offsets would
+    otherwise be 15-30% of each call. Only m <= 9 reaches here, so the
+    cache holds at most 9 plans, and their arrays are read-only because
     every caller shares them. Larger m streams its chunks.
     """
     (chunk,) = _subset_chunks(m)
-    blocks = tuple(_gather_offsets(m, cols) for cols in chunk)
-    sign = _subset_signs(m, blocks)
-    for array in blocks + (sign,):
-        array.setflags(write=False)
-    return blocks, sign
+    for offsets in chunk:
+        offsets.setflags(write=False)
+    return tuple(chunk)
 
 
 def _plan(m: int):
-    """(blocks, signs) of each chunk in canonical order (see
-    ``_subset_chunks``). The (2s)^2 entries of all 2^m - 1 subsets add up
-    to m (m + 1) 2^m, which fits one chunk for m <= 9. A streamed chunk
-    leaves its signs to ``_chunk_sum``: kept alive with each chunk, the
-    small sign arrays left several MiB of freed heap resident at N = 24."""
+    """The chunks of ``_subset_chunks(m)``, in canonical order. The (2s)^2
+    entries of all 2^m - 1 subsets add up to m (m + 1) 2^m, which fits one
+    chunk for m <= 9; that chunk comes from the cache, and larger m streams
+    its chunks."""
     if m * (m + 1) * 2 ** m <= _STACK:
         yield _one_chunk_plan(m)
-        return
-    for chunk in _subset_chunks(m):
-        yield [_gather_offsets(m, cols) for cols in chunk], None
+    else:
+        yield from _subset_chunks(m)
 
 
 def _power_traces(flat: np.ndarray, m: int, offsets: np.ndarray,
@@ -183,26 +170,26 @@ def _power_traces(flat: np.ndarray, m: int, offsets: np.ndarray,
                   top, out=out[:, half:].transpose(0, 2, 1)[..., None])
 
 
-def _chunk_sum(flat: np.ndarray, m: int, chunk: tuple) -> list:
+def _chunk_sum(flat: np.ndarray, m: int, blocks) -> list:
     """Signed sums of [x^m] det(I - x X B_S)^(-1/2) over one chunk of subsets,
-    given as (blocks, signs) by ``_plan``, one sum per matrix of ``flat`` (K
-    rescaled 2m x 2m matrices, one raveled matrix per row), with
-    det(I - x A)^(-1/2) = exp(sum_k tr(A^k) x^k / (2k)).
+    given as blocks of gather offsets by ``_plan``, one sum per matrix of
+    ``flat`` (K rescaled 2m x 2m matrices, one raveled matrix per row), with
+    det(I - x A)^(-1/2) = exp(sum_k tr(A^k) x^k / (2k)). A block of width
+    2s holds subsets of s pairs, whose sign is (-1)^(m-s).
 
     The K matrices share every numpy call up to the last. The traces and
-    coefficients are laid out (matrix, power, subset), and block j of the
-    chunk fills the subset columns [start, stop) it owns, so each matrix's
-    own (m, count) block is C-contiguous for the final reduction.
+    coefficients are laid out (matrix, power, subset), and each block fills
+    the subset columns [start, stop) it owns, so each matrix's own
+    (m, count) block is C-contiguous for the final reduction.
     """
-    blocks, sign = chunk
-    if sign is None:
-        sign = _subset_signs(m, blocks)
-    stack, count = len(flat), len(sign)
+    stack, count = len(flat), sum(map(len, blocks))
     tr = np.empty((stack, m, count), dtype=complex)
+    sign = np.empty(count)
     start = 0
     for offsets in blocks:
         stop = start + len(offsets)
         _power_traces(flat, m, offsets, tr[:, :, start:stop])
+        sign[start:stop] = -1.0 if (m - offsets.shape[1] // 2) % 2 else 1.0
         start = stop
     # power-series exponential, 2j c_j = sum_{k=1..j} tr_k c_{j-k}, with
     # c_j stored in rc[:, m-1-j] so that both operands run forward

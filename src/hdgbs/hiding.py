@@ -82,6 +82,8 @@ def pooled_singular_values(spec: EnsembleSpec, samples: int, seed) -> np.ndarray
     """All singular values of ``samples`` independent draws, pooled into
     one flat array. Draws use per-draw child seeds so the pool is stable
     under any parallel evaluation order."""
+    if samples < 0:
+        raise ContractViolationError(f"samples must be >= 0, got {samples}")
     if samples == 0:
         return np.empty(0)
     children = _seed_sequence(seed).spawn(samples)

@@ -17,18 +17,23 @@ SYMMETRY_TOL = 1e-12
 
 
 def as_rng(seed) -> np.random.Generator:
-    """Accept an integer seed or a Generator and return a Generator."""
+    """Accept an integer seed, a SeedSequence or a Generator and return a
+    Generator; a seed is checked as in ``_seed_sequence``."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_seed_sequence(seed))
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
     """Accept an integer seed or a SeedSequence and return a SeedSequence,
-    the parent of the nested child seeds that sample lists spawn."""
+    the parent of the nested child seeds that sample lists spawn. A seed
+    numpy refuses, such as a negative one, is a contract violation."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError(f"bad seed {seed!r}: {exc}") from exc
 
 
 def ginibre(n: int, k: int, variance: float, seed) -> np.ndarray:

@@ -50,6 +50,8 @@ class PhotonNumberDist:
         if lp.shape != (self.n_max + 1,):
             raise ContractViolationError(
                 f"log_probs length {lp.shape} does not match n_max={self.n_max}")
+        if not np.all(lp < math.inf):     # -inf is zero mass; NaN and +inf are not
+            raise ContractViolationError("log_probs must not hold NaN or +inf")
         total = float(np.exp(lp[lp > NEG_INF]).sum()) if lp.size else 0.0
         if total > 1.0 + MASS_SLACK:
             raise ContractViolationError(f"total mass {total} exceeds 1")

@@ -563,3 +563,90 @@ def test_non_finite_cost_model_or_bench_input_exits_2(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("contract violation: ")
     assert captured.err.count("\n") == 1
+
+
+def _small_instance(tmp_path):
+    path = tmp_path / "inst.json"
+    assert run(["instance", "new", "--r", "0.3", "--a", "2", "--D", "2", "--C", "1",
+                "--seed", "9", "--out", str(path)]) == 0
+    return path
+
+
+def _assert_one_line_violation(capsys, out):
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("contract violation: ")
+    assert captured.err.count("\n") == 1
+
+
+# every command that reads --seed; numpy refuses a negative seed
+NEGATIVE_SEED = {
+    "instance new": ["instance", "new", "--r", "0.3", "--a", "2", "--D", "1", "--C", "1",
+                     "--seed", "-1"],
+    "tn cost": ["tn", "cost", "--instance", "{inst}", "--trials", "2", "--seed", "-5"],
+    "tn contract": ["tn", "contract", "--instance", "{inst}", "--cutoff", "4",
+                    "--pattern", "0,0,0,0", "--seed", "-1"],
+    "bench run": ["bench", "run", "--sizes", "4", "--reps", "1", "--seed", "-2"],
+    "hiding spectra": ["hiding", "spectra", "--M", "9", "--K", "9", "--N", "2",
+                       "--samples", "2", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("command", list(NEGATIVE_SEED))
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    inst = str(_small_instance(tmp_path))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [inst if a == "{inst}" else a for a in NEGATIVE_SEED[command]]
+    assert run(argv + ["--out", str(out)]) == 2
+    _assert_one_line_violation(capsys, out)
+
+
+def test_negative_sample_count_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run(["hiding", "spectra", "--M", "9", "--K", "9", "--N", "2",
+                "--samples", "-1", "--out", str(out)]) == 2
+    _assert_one_line_violation(capsys, out)
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"samples": -3, "pairs": [{"M": 9, "N": 2, "K": 9}]}))
+    assert run(["hiding", "scan", "--config", str(cfg), "--out", str(out)]) == 2
+    _assert_one_line_violation(capsys, out)
+
+
+@pytest.mark.parametrize("guard", ["nan", "0", "-1"])
+def test_tn_contract_memory_guard_not_positive_exits_2(tmp_path, capsys, guard):
+    inst = str(_small_instance(tmp_path))
+    capsys.readouterr()
+    out = tmp_path / "amp.txt"
+    assert run(["tn", "contract", "--instance", inst, "--cutoff", "4",
+                "--pattern", "0,0,0,0", "--memory-guard", guard, "--out", str(out)]) == 2
+    _assert_one_line_violation(capsys, out)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "x"])
+@pytest.mark.parametrize("command", ["haf", "prob", "bench run"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
+    inst = str(_small_instance(tmp_path))
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps(matrix_to_json(np.ones((4, 4)))))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {"haf": ["haf", "--in", str(mat)],
+            "prob": ["prob", "--instance", inst, "--pattern", "0,0,0,0"],
+            "bench run": ["bench", "run", "--sizes", "4", "--reps", "1"]}[command]
+    assert run(argv + ["--threads", threads, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --threads: expected an integer >= 1, got '{threads}'" in captured.err
+
+
+@pytest.mark.parametrize("reps, threads", [(0, 1), (3, -3)])
+def test_bench_fit_rejects_reps_or_threads_below_one(tmp_path, capsys, reps, threads):
+    csv = tmp_path / "bench.csv"
+    csv.write_text("n,wall_seconds,reps,threads\n" + "".join(
+        f"{n},{1e-9 * n ** 3 * 2 ** (n / 2)},{reps},{threads}\n" for n in range(16, 30, 2)))
+    out = tmp_path / "model.json"
+    assert run(["bench", "fit", "--in", str(csv), "--out", str(out)]) == 2
+    _assert_one_line_violation(capsys, out)

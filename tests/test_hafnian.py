@@ -91,7 +91,7 @@ def test_hafnian_multilinearity_in_row_and_column():
 def test_hafnian_workers_bit_identical():
     # at n = 24 the 924 subsets of size 6 and the 792 of size 7 each span
     # two chunks, so chunk boundaries inside one size are exercised too
-    sizes = [[cols.shape[1] // 2 for cols in chunk] for chunk in _subset_chunks(12)]
+    sizes = [[offsets.shape[1] // 2 for offsets in chunk] for chunk in _subset_chunks(12)]
     assert any(a[-1] == b[0] for a, b in zip(sizes, sizes[1:]))
     b = random_symmetric(24, seed=8)
     serial = hafnian_fast(b, workers=1)
@@ -101,14 +101,18 @@ def test_hafnian_workers_bit_identical():
 
 @pytest.mark.parametrize("m", [1, 2, 5, 9, 12])
 def test_subset_chunks_list_every_subset_once_in_canonical_order(m):
-    # _power_traces gathers with mode="clip", which relies on every index
-    # lying in [0, 2m) and on each subset being whole index pairs
+    # _power_traces gathers with mode="clip", which relies on every offset
+    # lying in [0, 4m^2) and on each subset being whole index pairs; row i
+    # of X B_S is row cols[i] ^ 1 of B
     subsets = []
     for chunk in _subset_chunks(m):
-        assert sum(cols.size * cols.shape[1] for cols in chunk) <= _STACK or \
-            sum(len(cols) for cols in chunk) == 1
-        for cols in chunk:
-            assert cols.min() >= 0 and cols.max() < 2 * m
+        assert sum(offsets.size for offsets in chunk) <= _STACK or \
+            sum(len(offsets) for offsets in chunk) == 1
+        for offsets in chunk:
+            assert offsets.min() >= 0 and offsets.max() < 4 * m * m
+            cols = offsets[:, 0, :] % (2 * m)
+            assert np.all(offsets % (2 * m) == cols[:, None, :])
+            assert np.all(offsets // (2 * m) == (cols ^ 1)[:, :, None])
             assert np.all(cols[:, 0::2] % 2 == 0)
             assert np.all(cols[:, 1::2] == cols[:, 0::2] + 1)
             subsets += [tuple(row[0::2] // 2) for row in cols]
@@ -123,6 +127,8 @@ def test_only_one_chunk_plans_are_cached():
         fits = m * (m + 1) * 2 ** m <= _STACK
         assert (len(list(_subset_chunks(m))) == 1) == fits
         assert (next(_plan(m)) is next(_plan(m))) == fits
+        if fits:
+            assert not any(offsets.flags.writeable for offsets in next(_plan(m)))
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -132,9 +138,9 @@ def test_power_traces_match_matrix_powers(m, count):
     # with X swapping the two indices of each pair; both m pair the top
     # power with lower ones for k > ceil(m/2)
     stack = _stack_of(2 * m, count, seed=60 + m)
-    (chunk,) = _subset_chunks(m)
-    blocks, _ = next(_plan(m))
-    for cols, offsets in zip(chunk, blocks):
+    (blocks,) = _plan(m)
+    for offsets in blocks:
+        cols = offsets[:, 0, :] % (2 * m)
         out = np.empty((count, m, len(cols)), dtype=complex)
         _power_traces(stack.reshape(count, -1), m, offsets, out)
         swap = np.kron(np.eye(cols.shape[1] // 2), [[0.0, 1.0], [1.0, 0.0]])

@@ -190,6 +190,14 @@ def test_dist_type_rejects_odd_mass_when_lossless():
         PhotonNumberDist(lp, 1, 1, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["NaN", "+inf"])
+def test_dist_type_rejects_nan_or_positive_infinite_log_probs(bad):
+    with pytest.raises(ContractViolationError, match="NaN or \\+inf"):
+        PhotonNumberDist(np.array([bad, 0.0]), 1)
+    with pytest.raises(ContractViolationError, match="NaN or \\+inf"):
+        PhotonNumberDist(np.array([NEG_INF, bad]), 1)
+
+
 def test_dist_type_metadata_is_optional():
     # a law read back from a file has no known source: no lossless check
     dist = PhotonNumberDist(np.log(np.array([0.6, 0.4])), 1)
