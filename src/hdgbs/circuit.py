@@ -36,7 +36,7 @@ class GbsInstance:
 
     Every instance, built or loaded, is checked here: a valid lattice of at
     most MODE_LIMIT modes, a finite r >= 0 and exactly the 2 x 2 gates of
-    the delay-line order.
+    the delay-line order, whose product must be unitary.
     ``unitary`` is the read-only ordered product of the gates; a unitary
     passed in must match it to GATE_PRODUCT_TOL (max-norm) and is dropped.
     """
@@ -51,10 +51,7 @@ class GbsInstance:
 
     def __post_init__(self):
         _validate_lattice(self.a, self.dim, self.cycles)
-        # a >= 2, so a D above log2(MODE_LIMIT) is refused before a^D is formed
-        if self.dim >= MODE_LIMIT.bit_length() or self.modes > MODE_LIMIT:
-            raise ResourceLimitError(f"a^D for a={self.a}, D={self.dim} exceeds "
-                                     f"the mode limit of {MODE_LIMIT}")
+        _check_mode_limit(self.a, self.dim, MODE_LIMIT)
         object.__setattr__(self, "r", float(_squeezing(self.r)))
         m, given = self.modes, self.unitary
         if given is not None and np.shape(given) != (m, m):
@@ -76,6 +73,7 @@ class GbsInstance:
             raise ContractViolationError(
                 f"unitary differs from the product of the gates by {defect:.3e} "
                 f"(> {GATE_PRODUCT_TOL:.1e})")
+        assert_unitary(unitary)
         object.__setattr__(self, "unitary", unitary)
 
     @property
@@ -112,6 +110,13 @@ def _validate_lattice(a: int, dim: int, cycles: int) -> None:
         raise ContractViolationError(f"cycle count must be >= 1, got C={cycles}")
 
 
+def _check_mode_limit(a: int, dim: int, limit: int) -> None:
+    # a >= 2, so a D above log2(limit) is refused before a^D is formed
+    if dim >= limit.bit_length() or a ** dim > limit:
+        raise ResourceLimitError(
+            f"a^D for a={a}, D={dim} exceeds the mode limit of {limit}")
+
+
 def _layers(a: int, dim: int, cycles: int):
     """The delay-line order: for each cycle and each delay tau = a^d, d < D,
     one layer of (i, i + tau) mode pairs, i ascending from 0 to a^D - tau - 1."""
@@ -141,10 +146,7 @@ def build_instance(r: float, a: int, dim: int, cycles: int, seed: int,
     than MODE_LIMIT modes whatever is passed.
     """
     _validate_lattice(a, dim, cycles)
-    mode_limit = min(mode_limit, MODE_LIMIT)
-    if dim >= mode_limit.bit_length() or a ** dim > mode_limit:
-        raise ResourceLimitError(
-            f"a^D for a={a}, D={dim} exceeds the mode limit of {mode_limit}")
+    _check_mode_limit(a, dim, min(mode_limit, MODE_LIMIT))
     seed = int(seed)
     rng = as_rng(seed)
     gates = []
@@ -267,17 +269,14 @@ def instance_to_json(instance: GbsInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> GbsInstance:
-    """Instance from its JSON form, checked by ``GbsInstance``; the product
-    of its gates must also be unitary."""
+    """Instance from its JSON form, checked by ``GbsInstance``."""
     gates = tuple(Gate(_json_int(g["i"], "gate i"), _json_int(g["j"], "gate j"),
                        matrix_from_json(g["v"]))
                   for g in obj["gates"])
-    inst = GbsInstance(r=obj["r"], a=_json_int(obj["a"], "a"),
+    return GbsInstance(r=obj["r"], a=_json_int(obj["a"], "a"),
                        dim=_json_int(obj["D"], "D"), cycles=_json_int(obj["C"], "C"),
                        seed=_json_int(obj["seed"], "seed"), gates=gates,
                        unitary=matrix_from_json(obj["unitary"]))
-    assert_unitary(inst.unitary)
-    return inst
 
 
 def load_instance(path: str) -> GbsInstance:

@@ -4,25 +4,29 @@ cost estimation.
 A GBS instance becomes a network of one rank-1 squeezer tensor per mode
 and one rank-4 beam-splitter tensor per gate, wired in gate order, with
 output wires either left open or closed by photon-count basis vectors.
+The walk that checks a network's wiring also indexes its labels as bits.
 
 Contraction plans are priced symbolically (no tensor is materialized
 during the search), which is how lattice sizes far beyond any feasible
-contraction can still be priced. A search sets up each network once:
-tensor adjacency sets, and a shared plan prefix that absorbs every
-rank-1 tensor into its only neighbour. Randomized greedy trials continue
-from there, each contracting the pair of neighbours with the smallest
-intermediate and pricing every step as it takes it, so no trial is
-replayed. The mode-order sweep, a caterpillar plan that follows the
-circuit's band, is priced beside them and kept when strictly cheaper; it
-wins on large delay-line networks and the greedy on small ones. Element
-counts saturate at inf past the float range; a search whose best plan
-is still infinite is refused as a resource limit.
+contraction can still be priced. One walker, ``_Walk``, numbers, checks
+and prices the steps of every plan, in the search, the sweep,
+``replay_cost`` and ``contract``. A search walks a shared prefix once,
+absorbing every rank-1 tensor into its only neighbour; randomized greedy
+trials continue from copies of it, each contracting the pair of
+neighbours with the smallest intermediate. The mode-order sweep, a
+caterpillar plan that follows the circuit's band, is kept when strictly
+cheaper; it wins on large delay-line networks and the greedy on small
+ones. Element counts saturate at inf past the float range; a search
+whose best plan is still infinite is refused as a resource limit.
 """
+import copy
 import functools
 import heapq
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,32 +59,51 @@ class FockTensor:
         return self.values.size
 
 
+class _LabelIndex(NamedTuple):
+    """A network's labels as bits, in order of first appearance."""
+
+    masks: tuple      # per tensor: the bits of its labels
+    owners: tuple     # per bit: the ids of the tensors that carry it
+    size: object      # element count of a label mask, see _size_rule
+
+
 @dataclass(frozen=True)
 class TensorNetwork:
     tensors: tuple
     open_labels: tuple
+    _index: _LabelIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen: dict = {}
-        for t in self.tensors:
+        uses: dict = {}     # label -> (bit, owner ids, dims)
+        masks = []
+        for tid, t in enumerate(self.tensors):
+            mask = 0
             for lab, dim in zip(t.labels, t.values.shape):
-                seen.setdefault(lab, []).append(dim)
-        for lab, dims in seen.items():
+                bit, owners, dims = uses.setdefault(lab, (len(uses), [], []))
+                owners.append(tid)
+                dims.append(dim)
+                mask |= 1 << bit
+            masks.append(mask)
+        open_labels = set(self.open_labels)
+        for lab, (_, owners, dims) in uses.items():
             if len(set(dims)) != 1:
                 raise ContractViolationError(f"label {lab!r} has mismatched dims {dims}")
-            expected = 1 if lab in self.open_labels else 2
+            expected = 1 if lab in open_labels else 2
             if len(dims) != expected:
                 raise ContractViolationError(
                     f"label {lab!r} appears {len(dims)} times, expected {expected}")
-        missing = set(self.open_labels) - set(seen)
+        missing = open_labels - set(uses)
         if missing:
             raise ContractViolationError(f"open labels {missing} not present")
+        object.__setattr__(self, "_index", _LabelIndex(
+            tuple(masks), tuple(tuple(owners) for _, owners, _ in uses.values()),
+            _size_rule([dims[0] for _, _, dims in uses.values()])))
 
 
 @dataclass(frozen=True)
 class ContractionPlan:
     """Pairwise contraction order in single-assignment ids: tensors are
-    numbered 0..T-1, and step k merges (i, j) into id T + k. ``_replay``
+    numbered 0..T-1, and step k merges (i, j) into id T + k. ``_Walk``
     is the one place that defines this scheme and the rules a valid plan
     obeys."""
 
@@ -196,8 +219,7 @@ def build_network(instance: GbsInstance, cutoff: int,
 
 def _size_rule(dims):
     """The element count of a tensor as a function of its label bitmask,
-    built once per network and read by the search, the pricing and
-    ``contract`` alike.
+    built once per network with its label index and read by every walk.
 
     Counts saturate at inf instead of raising. Uniform dims read a table
     of ``dim ** k`` by bit count k, computed up to the float limit and inf
@@ -218,22 +240,65 @@ def _size_rule(dims):
 
 def _product_size(dims, mask: int) -> float:
     total = 1.0
-    mm = mask
-    while mm:
-        low = mm & -mm
+    while mask:
+        low = mask & -mask
         total *= dims[low.bit_length() - 1]
-        mm ^= low
+        mask ^= low
     return total
 
 
-def _merge(alive, nbrs, order, n_tensors: int, ia: int, ib: int):
-    """Contract alive tensors ia and ib into the next free id, updating the
-    label masks, the neighbour sets and the order; returns (id, neighbours).
-    A label has at most two owners, so the merged tensor's neighbours are
-    exactly those of ia and ib other than the pair itself."""
-    tid = n_tensors + len(order)
-    order.append((ia, ib) if ia < ib else (ib, ia))
-    alive[tid] = alive.pop(ia) ^ alive.pop(ib)
+class _Walk:
+    """A plan walked over a network's label masks, the one place that
+    numbers, checks and prices steps: tensors are ids 0..T-1 and the k-th
+    merge makes id T + k. A step costs one multiply-add per element of its
+    index union; ``max_elems`` is the largest tensor, inputs included."""
+
+    __slots__ = ("alive", "order", "size", "n_tensors", "est_flops", "max_elems")
+
+    def __init__(self, index: _LabelIndex):
+        self.alive = dict(enumerate(index.masks))
+        self.order = []
+        self.size = size = index.size
+        self.n_tensors = len(index.masks)
+        self.est_flops = 0.0
+        self.max_elems = max((size(m) for m in index.masks), default=1.0)
+
+    def copy(self) -> "_Walk":
+        twin = copy.copy(self)
+        twin.alive, twin.order = dict(self.alive), list(self.order)
+        return twin
+
+    def merge(self, ia: int, ib: int) -> int:
+        """Contract tensors ia and ib into the next id and return it. An id
+        that is dead, unknown or named twice raises ContractViolationError."""
+        alive = self.alive
+        ma, mb = alive.pop(ia, None), alive.pop(ib, None)
+        if ma is None or mb is None:
+            raise ContractViolationError(f"plan step ({ia}, {ib}) names a dead tensor")
+        tid = self.n_tensors + len(self.order)
+        self.order.append((ia, ib) if ia < ib else (ib, ia))
+        out = alive[tid] = ma ^ mb
+        size = self.size
+        self.est_flops += size(ma | mb)
+        elems = size(out)
+        if elems > self.max_elems:
+            self.max_elems = elems
+        return tid
+
+    def finish(self, steps=()) -> tuple[float, float]:
+        """Merge ``steps`` in order and return (est_flops, max_elems). A plan
+        that leaves more than one tensor raises ContractViolationError."""
+        for ia, ib in steps:
+            self.merge(ia, ib)
+        if len(self.alive) != 1:
+            raise ContractViolationError("plan does not contract the network fully")
+        return self.est_flops, self.max_elems
+
+
+def _merge(nbrs, ia: int, ib: int, tid: int) -> set:
+    """Give tensor ``tid``, merged from ia and ib, the neighbours of both
+    other than the pair itself, and return them: a label has at most two
+    owners, so no other neighbour set changes beyond the renaming."""
     joined = (nbrs.pop(ia) | nbrs.pop(ib)) - {ia, ib}
     for nb in joined:
         ring = nbrs[nb]
@@ -241,73 +306,54 @@ def _merge(alive, nbrs, order, n_tensors: int, ia: int, ib: int):
         ring.discard(ib)
         ring.add(tid)
     nbrs[tid] = joined
-    return tid, joined
+    return joined
 
 
-def _search_setup(masks, size):
-    """What every greedy trial over one network starts from.
-
-    The tensor adjacency sets come from the label owners. Then every
-    rank-1 tensor (a squeezer or a basis vector) is absorbed into its only
-    neighbour, in tensor-id order: such a step shrinks the neighbour, so
-    every trial shares it as its plan prefix. Returns that prefix, the
-    alive label masks and neighbour sets after it, (size, ia, ib) for
-    each remaining pair of neighbours in ascending (ia, ib), the order in
-    which the trials draw their tie-breakers for them, and the prefix's
-    running (est_flops, max_elems) as ``_plan_cost`` counts them.
-    """
-    owners: dict[int, list] = {}
-    for tid, mask in enumerate(masks):
-        mm = mask
-        while mm:
-            low = mm & -mm
-            owners.setdefault(low, []).append(tid)
-            mm ^= low
-    nbrs = {tid: set() for tid in range(len(masks))}
-    for tids in owners.values():
+def _search_setup(index: _LabelIndex):
+    """What every greedy trial over one network starts from: the walk and
+    the tensor adjacency sets after absorbing every rank-1 tensor (a
+    squeezer or a basis vector) into its only neighbour, in tensor-id
+    order, a step that shrinks the neighbour; and (size, ia, ib) for each
+    remaining pair of neighbours in ascending (ia, ib), the order in which
+    the trials draw their tie-breakers for them."""
+    nbrs = {tid: set() for tid in range(len(index.masks))}
+    for tids in index.owners:
         if len(tids) == 2:
             ia, ib = tids
             nbrs[ia].add(ib)
             nbrs[ib].add(ia)
-    alive = dict(enumerate(masks))
-    prefix: list = []
-    flops = 0.0
-    max_elems = max((size(m) for m in masks), default=1.0)
-    for tid, mask in enumerate(masks):
+    walk = _Walk(index)
+    alive = walk.alive
+    for tid, mask in enumerate(index.masks):
         # a rank-1 tensor can already be gone, absorbed by a rank-1 partner
         if mask.bit_count() == 1 and tid in alive and nbrs[tid]:
             nb = next(iter(nbrs[tid]))
-            flops += size(alive[tid] | alive[nb])
-            max_elems = max(max_elems, size(alive[tid] ^ alive[nb]))
-            _merge(alive, nbrs, prefix, len(masks), tid, nb)
-    pairs = [(size(alive[ia] ^ alive[ib]), ia, ib)
+            _merge(nbrs, tid, nb, walk.merge(tid, nb))
+    pairs = [(index.size(alive[ia] ^ alive[ib]), ia, ib)
              for ia in sorted(alive) for ib in sorted(nbrs[ia]) if ia < ib]
-    return prefix, alive, nbrs, pairs, flops, max_elems
+    return walk, nbrs, pairs
 
 
 def _tie_breaks(rng, first: int):
     """Uniform doubles, the same ones successive ``rng.random()`` calls give,
     drawn in blocks: ``first`` of them, then blocks of at least 16."""
-    yield from rng.random(first).tolist()
     block = max(first, 16)
-    while True:
-        yield from rng.random(block).tolist()
+    more = iter(lambda: rng.random(block).tolist(), None)
+    return itertools.chain(rng.random(first).tolist(), itertools.chain.from_iterable(more))
 
 
-def _greedy_path(n_tensors: int, size, setup, rng):
-    """One randomized greedy search over a network given as label bitmasks,
-    continuing from its ``_search_setup``.
+def _greedy_path(setup, rng):
+    """One randomized greedy search, continuing from a copy of the walk of
+    its ``_search_setup``; returns (order, est_flops, max_elems).
 
-    Returns (order, est_flops, max_elems), priced while the order is built
-    and equal to what ``_plan_cost`` gives for it. At every step the
-    candidate pair of neighbours producing the smallest intermediate is
-    contracted, with exact ties broken uniformly at random; that tie noise
-    is the only source of variation between trials.
+    At every step the candidate pair of neighbours producing the smallest
+    intermediate is contracted, with exact ties broken uniformly at
+    random; that tie noise is the only source of variation between trials.
     """
-    prefix, first_alive, first_nbrs, first_pairs, flops, max_elems = setup
-    alive = dict(first_alive)
+    first, first_nbrs, first_pairs = setup
+    walk = first.copy()
+    alive, merge, size = walk.alive, walk.merge, walk.size
     nbrs = {tid: set(ring) for tid, ring in first_nbrs.items()}
-    order = list(prefix)
     draws = _tie_breaks(rng, len(first_pairs))
     heap = [(elems, next(draws), ia, ib) for elems, ia, ib in first_pairs]
     heapq.heapify(heap)
@@ -317,21 +363,17 @@ def _greedy_path(n_tensors: int, size, setup, rng):
         # alive is still a valid candidate, and its recorded size is that
         # of the tensor it makes
         while heap:
-            elems, _, ia, ib = heappop(heap)
+            _, _, ia, ib = heappop(heap)
             if ia in alive and ib in alive:
                 break
         else:
             # disconnected remainder: outer-product the two smallest ids
             ia, ib = sorted(alive)[:2]
-            elems = size(alive[ia] ^ alive[ib])
-        flops += size(alive[ia] | alive[ib])
-        if elems > max_elems:
-            max_elems = elems
-        tid, joined = _merge(alive, nbrs, order, n_tensors, ia, ib)
+        tid = merge(ia, ib)
         new_mask = alive[tid]
-        for nb in sorted(joined):
+        for nb in sorted(_merge(nbrs, ia, ib, tid)):
             heappush(heap, (size(new_mask ^ alive[nb]), next(draws), nb, tid))
-    return tuple(order), flops, max_elems
+    return (tuple(walk.order), *walk.finish())
 
 
 def _sweep_order(network: TensorNetwork):
@@ -360,52 +402,6 @@ def _sweep_order(network: TensorNetwork):
     return tuple(order)
 
 
-def _network_masks(network: TensorNetwork):
-    label_bits: dict = {}
-    dims: list = []
-    masks = []
-    for t in network.tensors:
-        mask = 0
-        for lab, dim in zip(t.labels, t.values.shape):
-            if lab not in label_bits:
-                label_bits[lab] = len(dims)
-                dims.append(int(dim))
-            mask |= 1 << label_bits[lab]
-        masks.append(mask)
-    return masks, _size_rule(dims)
-
-
-def _replay(masks, order):
-    """Walk a plan over tensors given as label bitmasks, yielding
-    (ia, ib, union_mask, out_mask) per step; the result takes the next free
-    id. A step that names a dead or unknown id, or a plan that leaves more
-    than one tensor, raises ContractViolationError."""
-    alive = dict(enumerate(masks))
-    next_id = len(masks)
-    for ia, ib in order:
-        ma, mb = alive.pop(ia, None), alive.pop(ib, None)
-        if ma is None or mb is None:
-            raise ContractViolationError(f"plan step ({ia}, {ib}) names a dead tensor")
-        out = alive[next_id] = ma ^ mb
-        next_id += 1
-        yield ia, ib, ma | mb, out
-    if len(alive) != 1:
-        raise ContractViolationError("plan does not contract the network fully")
-
-
-def _plan_cost(masks, order, size) -> tuple[float, float]:
-    """(est_flops, max_elems) of a plan: one multiply-add per element of
-    each step's index union, and the largest tensor, inputs included."""
-    flops = 0.0
-    max_elems = max((size(m) for m in masks), default=1.0)
-    for _, _, union, out in _replay(masks, order):
-        flops += size(union)
-        elems = size(out)
-        if elems > max_elems:
-            max_elems = elems
-    return flops, max_elems
-
-
 def contraction_cost(network: TensorNetwork, trials: int, seed) -> ContractionPlan:
     """Best contraction plan over ``trials`` randomized greedy searches and
     the mode-order sweep.
@@ -421,18 +417,13 @@ def contraction_cost(network: TensorNetwork, trials: int, seed) -> ContractionPl
     """
     if trials < 1:
         raise ContractViolationError(f"trials must be >= 1, got {trials}")
-    masks, size = _network_masks(network)
     sweep = _sweep_order(network)
-    sweep_cost = None if sweep is None else _plan_cost(masks, sweep, size)
-    setup = _search_setup(masks, size)
-    best = None
-    for child in _seed_sequence(seed).spawn(trials):
-        order, flops, elems = _greedy_path(len(masks), size, setup,
-                                           np.random.default_rng(child))
-        if best is None or (flops, elems) < (best.est_flops, best.max_tensor_elems):
-            best = ContractionPlan(order, flops, elems)
-    if sweep_cost is not None and sweep_cost < (best.est_flops, best.max_tensor_elems):
-        best = ContractionPlan(sweep, *sweep_cost)
+    swept = [] if sweep is None else [(sweep, *_Walk(network._index).finish(sweep))]
+    setup = _search_setup(network._index)
+    greedy = (_greedy_path(setup, np.random.default_rng(child))
+              for child in _seed_sequence(seed).spawn(trials))
+    # min keeps the first of equal costs, so the sweep wins only when cheaper
+    best = ContractionPlan(*min(itertools.chain(greedy, swept), key=lambda p: p[1:]))
     if not math.isfinite(best.est_flops):
         raise ResourceLimitError(
             "no contraction plan found whose cost fits the float range")
@@ -442,8 +433,7 @@ def contraction_cost(network: TensorNetwork, trials: int, seed) -> ContractionPl
 def replay_cost(network: TensorNetwork, plan: ContractionPlan) -> tuple[float, float]:
     """Symbolically replay a plan, returning (est_flops, max_elems);
     validates that the order is a full contraction of this network."""
-    masks, size = _network_masks(network)
-    return _plan_cost(masks, plan.order, size)
+    return _Walk(network._index).finish(plan.order)
 
 
 def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
@@ -462,12 +452,12 @@ def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
         raise ContractViolationError(f"memory guard must be > 0, got {memory_guard}")
     if plan is None:
         plan = contraction_cost(network, trials=1, seed=seed)
-    masks, size = _network_masks(network)
+    walk = _Walk(network._index)
     # indexed by tensor id: step k appends its result at T + k
     tensors = [(t.labels, t.values) for t in network.tensors]
     ops = 0.0
-    for ia, ib, _, out in _replay(masks, plan.order):
-        out_elems = size(out)
+    for ia, ib in plan.order:
+        out_elems = walk.size(walk.alive[walk.merge(ia, ib)])
         if out_elems > memory_guard:
             raise ResourceLimitError(
                 f"intermediate of {out_elems:.3e} elements exceeds the "
@@ -481,6 +471,7 @@ def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
         # element and per combination of the contracted axes
         ops += float(value.size * math.prod(va.shape[ax] for ax in axes_a))
         tensors.append((tuple(q for q in (*la, *lb) if q not in shared), value))
+    walk.finish()
     labels, value = tensors[-1]
     result = value if labels else complex(value)
     return (result, ops) if count_ops else result

@@ -159,14 +159,15 @@ def ensemble_tv(spec_a: EnsembleSpec, spec_b: EnsembleSpec, samples: int,
 
 def split_half_tv(spec: EnsembleSpec, samples: int, bins: int, seed) -> float:
     """Noise floor of the TV estimator: the distance between two halves of
-    one ensemble's own sample pool (interleaved split)."""
-    vals = pooled_singular_values(spec, samples, seed)
-    per_draw = vals.size // samples if samples else 0
-    draws = vals.reshape(samples, per_draw) if samples else vals.reshape(0, 0)
+    one ensemble's own sample pool (interleaved split, so with an odd count
+    the first half holds one draw more). Needs at least 2 samples."""
+    if samples < 2:
+        raise ContractViolationError(f"split-half TV needs samples >= 2, got {samples}")
+    draws = pooled_singular_values(spec, samples, seed).reshape(samples, -1)
     first, second = draws[0::2].ravel(), draws[1::2].ravel()
     edges = shared_edges(first, second, bins)
-    return spectra_tv_distance(histogram_from_values(first, edges, samples // 2),
-                               histogram_from_values(second, edges, samples - samples // 2))
+    return spectra_tv_distance(histogram_from_values(first, edges, (samples + 1) // 2),
+                               histogram_from_values(second, edges, samples // 2))
 
 
 def hiding_scan(pairs, samples: int, bins: int, seed) -> list[dict]:
@@ -176,6 +177,10 @@ def hiding_scan(pairs, samples: int, bins: int, seed) -> list[dict]:
     flagged with a warning, since the product ensembles are only expected
     to agree in that regime.
     """
+    if samples < 0:
+        raise ContractViolationError(f"samples must be >= 0, got {samples}")
+    if bins < 1:
+        raise ContractViolationError(f"bin count must be >= 1, got {bins}")
     rows = []
     pairs = list(pairs)
     if samples == 0 or not pairs:

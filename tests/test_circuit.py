@@ -316,6 +316,14 @@ def test_instance_rejects_a_unitary_that_is_not_the_gate_product(unitary, messag
                     unitary=unitary)
 
 
+def test_instance_rejects_gates_whose_product_is_not_unitary():
+    # a built instance is checked like a loaded one: gates scaled by 2 fail
+    inst = build_instance(0.3, 2, 2, 1, seed=7)
+    scaled = tuple(g._replace(v=2 * g.v) for g in inst.gates)
+    with pytest.raises(ContractViolationError, match="not unitary"):
+        GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, scaled)
+
+
 @pytest.mark.parametrize("r", [float("nan"), float("inf"), -0.3])
 def test_build_rejects_non_finite_or_negative_squeezing(r):
     with pytest.raises(ContractViolationError, match="finite and >= 0"):

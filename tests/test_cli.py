@@ -614,6 +614,23 @@ def test_negative_sample_count_exits_2(tmp_path, capsys):
     _assert_one_line_violation(capsys, out)
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"samples": -3, "pairs": []}, "samples must be >= 0, got -3"),
+    ({"samples": 0, "bins": 0, "pairs": [{"M": 4, "N": 2, "K": 2}]},
+     "bin count must be >= 1, got 0"),
+], ids=["negative-samples-no-pairs", "zero-bins-zero-samples"])
+def test_hiding_scan_checks_an_empty_or_zero_sample_scan(tmp_path, capsys, config, message):
+    # the scan is checked before it returns early with no rows
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert run(["hiding", "scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"contract violation: {message}\n"
+
+
 @pytest.mark.parametrize("guard", ["nan", "0", "-1"])
 def test_tn_contract_memory_guard_not_positive_exits_2(tmp_path, capsys, guard):
     inst = str(_small_instance(tmp_path))

@@ -10,9 +10,8 @@ import pytest
 from hdgbs.circuit import adjacency, build_instance, light_cone_band
 from hdgbs.errors import ContractViolationError, ResourceLimitError
 from hdgbs.focknet import (ContractionPlan, FockTensor, TensorNetwork, _greedy_path,
-                           _merge, _network_masks, _product_size, _replay,
-                           _search_setup, _size_rule, _sweep_order, _tie_breaks,
-                           beamsplitter_tensor, build_network, contract,
+                           _product_size, _search_setup, _size_rule, _sweep_order,
+                           _tie_breaks, beamsplitter_tensor, build_network, contract,
                            contraction_cost, fock_basis_vector, replay_cost,
                            squeezed_vacuum_tensor)
 from hdgbs.matrices import _seed_sequence, haar_unitary
@@ -204,13 +203,31 @@ def _oracle_size(mask, dims):
     return total
 
 
+def _label_walk(net):
+    # label bits by first appearance: each tensor's mask, each bit's dim and
+    # the ids of the tensors that carry it
+    bits, dims, owners, masks = {}, [], [], []
+    for tid, t in enumerate(net.tensors):
+        mask = 0
+        for lab, dim in zip(t.labels, t.values.shape):
+            if lab not in bits:
+                bits[lab] = len(dims)
+                dims.append(dim)
+                owners.append([])
+            owners[bits[lab]].append(tid)
+            mask |= 1 << bits[lab]
+        masks.append(mask)
+    return masks, dims, owners
+
+
 def _oracle_greedy(masks, dims, setup, rng):
     # the search before it priced its own steps: build the order only, from
-    # the same shared prefix, neighbour sets and tie-breaker draws
-    prefix, first_alive, first_nbrs, first_pairs = setup[:4]
-    alive = dict(first_alive)
+    # the same shared prefix, neighbour sets and tie-breaker draws, with its
+    # own ids and neighbour update
+    prefix, first_nbrs, first_pairs = setup
+    alive = dict(prefix.alive)
     nbrs = {tid: set(ring) for tid, ring in first_nbrs.items()}
-    order = list(prefix)
+    order = list(prefix.order)
     draws = _tie_breaks(rng, len(first_pairs))
     heap = [(size, next(draws), ia, ib) for size, ia, ib in first_pairs]
     heapq.heapify(heap)
@@ -223,7 +240,15 @@ def _oracle_greedy(masks, dims, setup, rng):
                 break
         if cand is None:
             cand = tuple(sorted(alive)[:2])
-        tid, joined = _merge(alive, nbrs, order, len(masks), *cand)
+        ia, ib = cand
+        tid = len(masks) + len(order)
+        order.append(cand)
+        alive[tid] = alive.pop(ia) ^ alive.pop(ib)
+        joined = (nbrs.pop(ia) | nbrs.pop(ib)) - {ia, ib}
+        for nb in joined:
+            nbrs[nb] -= {ia, ib}
+            nbrs[nb].add(tid)
+        nbrs[tid] = joined
         for nb in sorted(joined):
             heapq.heappush(heap, (_oracle_size(alive[tid] ^ alive[nb], dims),
                                   next(draws), nb, tid))
@@ -232,11 +257,15 @@ def _oracle_greedy(masks, dims, setup, rng):
 
 def _oracle_plan_cost(masks, order, dims):
     # a second walk over the finished order, as the search used to price it
+    alive = dict(enumerate(masks))
     flops = 0.0
     max_elems = max(_oracle_size(m, dims) for m in masks)
-    for _, _, union, out in _replay(masks, order):
-        flops += _oracle_size(union, dims)
-        max_elems = max(max_elems, _oracle_size(out, dims))
+    for step, (ia, ib) in enumerate(order):
+        ma, mb = alive.pop(ia), alive.pop(ib)
+        alive[len(masks) + step] = ma ^ mb
+        flops += _oracle_size(ma | mb, dims)
+        max_elems = max(max_elems, _oracle_size(ma ^ mb, dims))
+    assert len(alive) == 1
     return flops, max_elems
 
 
@@ -283,20 +312,28 @@ def test_search_prices_each_trial_as_the_replay_did(make_net, trials, seed):
     # every trial's (order, est_flops, max_tensor_elems) equals the order-only
     # search followed by a second walk to price it, bit for bit
     net = make_net()
-    masks, size = _network_masks(net)
-    dims = {}        # in label-bit order: by first appearance
-    for t in net.tensors:
-        for lab, dim in zip(t.labels, t.values.shape):
-            dims.setdefault(lab, dim)
-    dims = list(dims.values())
-    setup = _search_setup(masks, size)
+    masks, dims, _ = _label_walk(net)
+    setup = _search_setup(net._index)
     for child in _seed_sequence(seed).spawn(trials):
-        order, flops, elems = _greedy_path(len(masks), size, setup,
-                                           np.random.default_rng(child))
+        order, flops, elems = _greedy_path(setup, np.random.default_rng(child))
         oracle = _oracle_greedy(masks, dims, setup, np.random.default_rng(child))
         assert order == oracle
         assert (flops, elems) == _oracle_plan_cost(masks, oracle, dims)
         assert replay_cost(net, ContractionPlan(order, 0.0, 0.0)) == (flops, elems)
+
+
+@pytest.mark.parametrize("make_net", [
+    lambda: _instance_network((0.8, 6, 3, 1), 506, 4), _mixed_dims_network,
+], ids=["216-modes", "mixed-dims"])
+def test_label_index_matches_a_label_walk(make_net):
+    # the index a network builds while checking its wiring: the same masks,
+    # owners and per-label dims as a walk done here
+    net = make_net()
+    masks, dims, owners = _label_walk(net)
+    assert net._index.masks == tuple(masks)
+    assert net._index.owners == tuple(map(tuple, owners))
+    assert [net._index.size(1 << bit) for bit in range(len(dims))] == dims
+    assert [net._index.size(m) for m in masks] == [_oracle_size(m, dims) for m in masks]
 
 
 def test_size_rule_saturates_past_the_float_limit():

@@ -135,6 +135,25 @@ def test_split_half_tv_is_small_noise_floor():
     assert 0.0 < floor < 0.25
 
 
+def test_split_half_tv_labels_each_half_by_its_own_draws():
+    # 3 draws split 2 / 1: each half's histogram holds its own draws, and
+    # the floor is the distance between the two, found here by hand
+    spec = EnsembleSpec("gaussian", m=9, n=2, k=3)
+    pool = pooled_singular_values(spec, 3, seed=4).reshape(3, -1)
+    edges = shared_edges(pool[0::2].ravel(), pool[1::2].ravel(), 5)
+    first = np.histogram(pool[0::2], bins=edges)[0] / 4
+    second = np.histogram(pool[1::2], bins=edges)[0] / 2
+    want = 0.5 * float(np.abs(first - second).sum())
+    assert split_half_tv(spec, samples=3, bins=5, seed=4) == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("samples", [1, 0, -2])
+def test_split_half_tv_needs_two_samples(samples):
+    spec = EnsembleSpec("gaussian", m=9, n=2, k=3)
+    with pytest.raises(ContractViolationError, match=f"samples >= 2, got {samples}"):
+        split_half_tv(spec, samples=samples, bins=5, seed=4)
+
+
 def test_hiding_scan_empty_on_zero_samples():
     pairs = [(EnsembleSpec("coe_sub", 30, 3, 30),
               EnsembleSpec("gaussian_sym", 30, 3, 30))]
