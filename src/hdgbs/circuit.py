@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError
-from .matrices import (_json_int, _squeezing, as_rng, assert_unitary, haar_isometry,
+from .matrices import (_integer, _squeezing, as_rng, assert_unitary, haar_isometry,
                        matrix_from_json, matrix_to_json)
 
 MODE_LIMIT = 4096
@@ -51,7 +51,7 @@ class GbsInstance:
 
     def __post_init__(self):
         _validate_lattice(self.a, self.dim, self.cycles)
-        _check_mode_limit(self.a, self.dim, MODE_LIMIT)
+        _check_mode_limit(self.a, self.dim)
         object.__setattr__(self, "r", float(_squeezing(self.r)))
         m, given = self.modes, self.unitary
         if given is not None and np.shape(given) != (m, m):
@@ -110,11 +110,11 @@ def _validate_lattice(a: int, dim: int, cycles: int) -> None:
         raise ContractViolationError(f"cycle count must be >= 1, got C={cycles}")
 
 
-def _check_mode_limit(a: int, dim: int, limit: int) -> None:
-    # a >= 2, so a D above log2(limit) is refused before a^D is formed
-    if dim >= limit.bit_length() or a ** dim > limit:
+def _check_mode_limit(a: int, dim: int) -> None:
+    # a >= 2, so a D above log2(MODE_LIMIT) is refused before a^D is formed
+    if dim >= MODE_LIMIT.bit_length() or a ** dim > MODE_LIMIT:
         raise ResourceLimitError(
-            f"a^D for a={a}, D={dim} exceeds the mode limit of {limit}")
+            f"a^D for a={a}, D={dim} exceeds the mode limit of {MODE_LIMIT}")
 
 
 def _layers(a: int, dim: int, cycles: int):
@@ -134,28 +134,17 @@ def _gate_product(m: int, gates) -> np.ndarray:
     return unitary
 
 
-def build_instance(r: float, a: int, dim: int, cycles: int, seed: int,
-                   mode_limit: int = MODE_LIMIT,
-                   shared_layer_gate: bool = False) -> GbsInstance:
-    """Build an (r, a, D, C) instance.
-
-    Each beam-splitter of the delay-line order receives an independent
-    fresh Haar-random 2 x 2 unitary, drawn in gate order (pass
-    ``shared_layer_gate=True`` to reuse one per layer for experiments).
-    ``mode_limit`` can only lower the bound: ``GbsInstance`` refuses more
-    than MODE_LIMIT modes whatever is passed.
-    """
+def build_instance(r: float, a: int, dim: int, cycles: int, seed: int) -> GbsInstance:
+    """Build an (r, a, D, C) instance: each beam-splitter of the delay-line
+    order gets a fresh Haar-random 2 x 2 unitary, drawn in gate order. More
+    than MODE_LIMIT modes is refused before any gate is drawn."""
     _validate_lattice(a, dim, cycles)
-    _check_mode_limit(a, dim, min(mode_limit, MODE_LIMIT))
+    _check_mode_limit(a, dim)
     seed = int(seed)
     rng = as_rng(seed)
-    gates = []
-    for layer in _layers(a, dim, cycles):
-        v_layer = haar_isometry(2, 2, rng) if shared_layer_gate else None
-        gates.extend(Gate(i, j, v_layer if shared_layer_gate else haar_isometry(2, 2, rng))
-                     for i, j in layer)
-    return GbsInstance(r=r, a=a, dim=dim, cycles=cycles, seed=seed,
-                       gates=tuple(gates))
+    gates = tuple(Gate(i, j, haar_isometry(2, 2, rng))
+                  for layer in _layers(a, dim, cycles) for i, j in layer)
+    return GbsInstance(r=r, a=a, dim=dim, cycles=cycles, seed=seed, gates=gates)
 
 
 def adjacency(instance: GbsInstance) -> np.ndarray:
@@ -270,12 +259,12 @@ def instance_to_json(instance: GbsInstance) -> dict:
 
 def instance_from_json(obj: dict) -> GbsInstance:
     """Instance from its JSON form, checked by ``GbsInstance``."""
-    gates = tuple(Gate(_json_int(g["i"], "gate i"), _json_int(g["j"], "gate j"),
+    gates = tuple(Gate(_integer(g["i"], "gate i"), _integer(g["j"], "gate j"),
                        matrix_from_json(g["v"]))
                   for g in obj["gates"])
-    return GbsInstance(r=obj["r"], a=_json_int(obj["a"], "a"),
-                       dim=_json_int(obj["D"], "D"), cycles=_json_int(obj["C"], "C"),
-                       seed=_json_int(obj["seed"], "seed"), gates=gates,
+    return GbsInstance(r=obj["r"], a=_integer(obj["a"], "a"),
+                       dim=_integer(obj["D"], "D"), cycles=_integer(obj["C"], "C"),
+                       seed=_integer(obj["seed"], "seed"), gates=gates,
                        unitary=matrix_from_json(obj["unitary"]))
 
 

@@ -23,12 +23,14 @@ from . import bench as bench_mod
 from . import circuit, focknet, hiding, probability
 from .errors import ContractViolationError, ResourceLimitError
 from .hafnian import hafnian_enum, hafnian_fast
-from .matrices import _json_int, matrix_from_json
+from .matrices import _integer, matrix_from_json
 
 EXIT_CONTRACT = 2
 EXIT_RESOURCE = 3
 DIST_PROB_RTOL = 1e-9   # a distribution row's prob must be exp(log_prob) to this
                         # relative tolerance; ``photondist`` writes it exactly
+DIST_HEADER = "n,prob,log_prob"
+BENCH_HEADER = "n,wall_seconds,reps,threads"
 
 
 def _fmt(x: float) -> str:
@@ -41,6 +43,13 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(path: str | None, header: str, rows) -> None:
+    """``header`` and one line per row, its fields (ints and strings from
+    ``_fmt``) joined by commas."""
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _positive_int(text: str) -> int:
@@ -145,11 +154,9 @@ def _cmd_photondist(args) -> None:
     else:
         dist = probability.total_dist_convolution([args.r] * args.modes, args.eta,
                                                   args.nmax)
-    lines = ["n,prob,log_prob"]
     probs = dist.probs
-    for n in range(dist.n_max + 1):
-        lines.append(f"{n},{_fmt(probs[n])},{_fmt(dist.log_probs[n])}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, DIST_HEADER,
+               ((n, _fmt(probs[n]), _fmt(dist.log_probs[n])) for n in range(dist.n_max + 1)))
 
 
 def _cmd_hiding_spectra(args) -> None:
@@ -157,11 +164,10 @@ def _cmd_hiding_spectra(args) -> None:
     gsym = hiding.EnsembleSpec("gaussian_sym", args.M, args.N, args.K)
     hist_coe, hist_gsym = hiding.spectra_histograms(coe, gsym, args.samples,
                                                     args.bins, args.seed)
-    lines = ["bin_lo,bin_hi,mass_coe,mass_gsym"]
-    for i in range(len(hist_coe.masses)):
-        lines.append(f"{_fmt(hist_coe.bin_edges[i])},{_fmt(hist_coe.bin_edges[i + 1])},"
-                     f"{_fmt(hist_coe.masses[i])},{_fmt(hist_gsym.masses[i])}")
-    _write(args.out, "\n".join(lines) + "\n")
+    edges = hist_coe.bin_edges
+    _write_csv(args.out, "bin_lo,bin_hi,mass_coe,mass_gsym",
+               (map(_fmt, row) for row in zip(edges[:-1], edges[1:], hist_coe.masses,
+                                             hist_gsym.masses)))
 
 
 def _read_scan_config(path: str):
@@ -174,18 +180,16 @@ def _read_scan_config(path: str):
         m, n, k = row["M"], row["N"], row["K"]
         pairs.append((hiding.EnsembleSpec(row.get("kind_a", "coe_sub"), m, n, k),
                       hiding.EnsembleSpec(row.get("kind_b", "gaussian_sym"), m, n, k)))
-    return (pairs, _json_int(cfg.get("samples", 1000), "samples"),
-            _json_int(cfg.get("bins", 60), "bins"))
+    return (pairs, _integer(cfg.get("samples", 1000), "samples"),
+            _integer(cfg.get("bins", 60), "bins"))
 
 
 def _cmd_hiding_scan(args) -> None:
     pairs, samples, bins = _load(args.config, _read_scan_config)
     rows = hiding.hiding_scan(pairs, samples, bins, args.seed)
-    lines = ["M,N,K,samples,bins,tv"]
-    for row in rows:
-        lines.append(f"{row['M']},{row['N']},{row['K']},{row['samples']},"
-                     f"{row['bins']},{_fmt(row['tv'])}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, "M,N,K,samples,bins,tv",
+               ((row["M"], row["N"], row["K"], row["samples"], row["bins"], _fmt(row["tv"]))
+                for row in rows))
 
 
 def _cmd_tn_cost(args) -> None:
@@ -212,21 +216,19 @@ def _cmd_bench_run(args) -> None:
     sizes = _parse_pattern(args.sizes)
     records = bench_mod.bench_hafnian(sizes, args.reps, args.seed,
                                       workers=args.threads)
-    lines = ["n,wall_seconds,reps,threads"]
-    for r in records:
-        lines.append(f"{r.n},{_fmt(r.wall_seconds)},{r.reps},{r.threads}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, BENCH_HEADER,
+               ((r.n, _fmt(r.wall_seconds), r.reps, r.threads) for r in records))
 
 
 def _read_bench(path: str) -> list[bench_mod.BenchRecord]:
-    rows = _read_csv(path, "n,wall_seconds,reps,threads")
+    rows = _read_csv(path, BENCH_HEADER)
     return [bench_mod.BenchRecord(int(n), float(wall), int(reps), int(threads))
             for n, wall, reps, threads in rows]
 
 
 def _read_dist(path: str) -> probability.PhotonNumberDist:
     log_probs = []
-    for n, (idx, prob, lp) in enumerate(_read_csv(path, "n,prob,log_prob")):
+    for n, (idx, prob, lp) in enumerate(_read_csv(path, DIST_HEADER)):
         if int(idx) != n:
             raise ContractViolationError("distribution rows must be consecutive")
         with np.errstate(over="ignore"):

@@ -74,6 +74,8 @@ class TensorNetwork:
     _index: _LabelIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.tensors:
+            raise ContractViolationError("a tensor network needs at least one tensor")
         uses: dict = {}     # label -> (bit, owner ids, dims)
         masks = []
         for tid, t in enumerate(self.tensors):
@@ -261,7 +263,7 @@ class _Walk:
         self.size = size = index.size
         self.n_tensors = len(index.masks)
         self.est_flops = 0.0
-        self.max_elems = max((size(m) for m in index.masks), default=1.0)
+        self.max_elems = max(size(m) for m in index.masks)
 
     def copy(self) -> "_Walk":
         twin = copy.copy(self)
@@ -395,7 +397,7 @@ def _sweep_order(network: TensorNetwork):
         keys.append((max(modes, default=0), tid))
     tids = [tid for _, tid in sorted(keys)]
     order = []
-    acc = tids[0] if tids else None
+    acc = tids[0]
     for step, tid in enumerate(tids[1:]):
         order.append((acc, tid) if acc < tid else (tid, acc))
         acc = len(tids) + step
@@ -436,12 +438,9 @@ def replay_cost(network: TensorNetwork, plan: ContractionPlan) -> tuple[float, f
     return _Walk(network._index).finish(plan.order)
 
 
-def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
-             memory_guard: float = MEMORY_GUARD_ELEMS, seed=0,
-             count_ops: bool = False):
-    """Contract the network, following ``plan`` (or, when none is given,
-    the plan ``contraction_cost`` picks with one greedy trial from
-    ``seed`` and the mode-order sweep).
+def contract(network: TensorNetwork, plan: ContractionPlan,
+             memory_guard: float = MEMORY_GUARD_ELEMS, count_ops: bool = False):
+    """Contract the network in the order of ``plan``.
 
     Refuses any step whose output tensor would exceed ``memory_guard``
     elements, and a guard that is not > 0. Returns the scalar amplitude
@@ -450,8 +449,6 @@ def contract(network: TensorNetwork, plan: ContractionPlan | None = None,
     """
     if not memory_guard > 0:
         raise ContractViolationError(f"memory guard must be > 0, got {memory_guard}")
-    if plan is None:
-        plan = contraction_cost(network, trials=1, seed=seed)
     walk = _Walk(network._index)
     # indexed by tensor id: step k appends its result at T + k
     tensors = [(t.labels, t.values) for t in network.tensors]

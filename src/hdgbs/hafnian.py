@@ -50,6 +50,7 @@ from .matrices import _square, assert_symmetric
 
 ENUM_LIMIT = 14           # (N-1)!! matchings; 14 -> 135135 terms
 PERMANENT_LIMIT = 16
+PERMANENT_ENUM_LIMIT = 8  # n! permutations; 8 -> 40320 terms
 FAST_CEILING = 40         # practical desk-scale ceiling for the fast path
 _STACK = 1 << 16          # matrix entries (subsets x (2s)^2) per chunk, fixed
                           # so the chunking and the reduction order are
@@ -57,18 +58,18 @@ _STACK = 1 << 16          # matrix entries (subsets x (2s)^2) per chunk, fixed
                           # 7 MiB at N = 28
 
 
-def hafnian_enum(b: np.ndarray, limit: int = ENUM_LIMIT) -> complex:
+def hafnian_enum(b: np.ndarray) -> complex:
     """Hafnian by explicit enumeration of all perfect matchings.
 
     Exact by construction (it is the defining sum), but factorially slow;
-    inputs above ``limit`` are refused rather than allowed to crawl.
+    inputs above ENUM_LIMIT are refused rather than allowed to crawl.
     The 0 x 0 Hafnian is 1 and any odd size gives 0.
     """
     b = _square(b, complex)
     n = b.shape[0]
-    if n > limit:
+    if n > ENUM_LIMIT:
         raise ResourceLimitError(
-            f"enumeration over {n} indices exceeds the limit of {limit}")
+            f"enumeration over {n} indices exceeds the limit of {ENUM_LIMIT}")
     if n == 0:
         return 1.0 + 0.0j
     if n % 2:
@@ -204,22 +205,18 @@ def _chunk_sum(flat: np.ndarray, m: int, blocks) -> list:
     return [complex(np.einsum("kb,kb,b->", t, c, sign)) / (2 * m) for t, c in zip(tr, rc)]
 
 
-def hafnian_fast(b: np.ndarray, workers: int | None = None,
-                 ceiling: int = FAST_CEILING) -> complex | np.ndarray:
+def hafnian_fast(b: np.ndarray, workers: int | None = None) -> complex | np.ndarray:
     """Hafnian of a complex symmetric matrix via power traces over
     pair subsets.
 
     Odd sizes return 0, the empty matrix gives 1, and non-symmetric input
-    is rejected. ``workers`` > 1 fans the canonical subset chunks over a
-    thread pool, drawing at most 2 * workers chunks ahead of the one being
-    added; the reduction order is fixed, so the result does not depend on
-    the worker count.
+    or a size above FAST_CEILING is rejected. ``workers`` > 1 fans the
+    subset chunks over a thread pool; the reduction order is fixed, so the
+    result does not depend on the worker count.
 
     ``b`` may also be a stack of shape (..., n, n), as in ``numpy.linalg``;
-    the result is then an array of shape (...). Up to about ``_STACK``
-    matrix entries of subsets, several matrices share one pass over the
-    subset plan, so many small Hafnians cost little more than one. Each
-    value equals the one the matrix gives alone, bit for bit.
+    the result is then an array of shape (...), and each value equals the
+    one the matrix gives alone, bit for bit.
 
     Error envelope, measured against exact references (relative error):
 
@@ -238,8 +235,8 @@ def hafnian_fast(b: np.ndarray, workers: int | None = None,
     """
     b = _square(b, complex, stack=True)
     n = b.shape[-1]
-    if n > ceiling:
-        raise ResourceLimitError(f"size {n} exceeds the fast-path ceiling of {ceiling}")
+    if n > FAST_CEILING:
+        raise ResourceLimitError(f"size {n} exceeds the fast-path ceiling of {FAST_CEILING}")
     if b.ndim == 2:
         return _hafnians(b[None], workers)[0]
     values = _hafnians(b.reshape(math.prod(b.shape[:-2]), n, n), workers)
@@ -305,13 +302,13 @@ def _chunk_sums(units, m: int, workers: int | None):
             yield lo, future.result()
 
 
-def permanent(g: np.ndarray, limit: int = PERMANENT_LIMIT) -> complex:
+def permanent(g: np.ndarray) -> complex:
     """Permanent by Ryser's inclusion-exclusion formula with Gray-code
     column updates, O(2^n n) arithmetic."""
     g = _square(g, complex)
     n = g.shape[0]
-    if n > limit:
-        raise ResourceLimitError(f"size {n} exceeds the permanent limit of {limit}")
+    if n > PERMANENT_LIMIT:
+        raise ResourceLimitError(f"size {n} exceeds the permanent limit of {PERMANENT_LIMIT}")
     if n == 0:
         return 1.0 + 0.0j
     total = 0.0 + 0.0j
@@ -331,14 +328,15 @@ def permanent(g: np.ndarray, limit: int = PERMANENT_LIMIT) -> complex:
     return complex(total * (-1.0) ** n)
 
 
-def permanent_enum(g: np.ndarray, limit: int = 8) -> complex:
+def permanent_enum(g: np.ndarray) -> complex:
     """Permanent by brute force over all n! permutations (oracle)."""
     from itertools import permutations
 
     g = _square(g, complex)
     n = g.shape[0]
-    if n > limit:
-        raise ResourceLimitError(f"factorial enumeration refused for n={n} > {limit}")
+    if n > PERMANENT_ENUM_LIMIT:
+        raise ResourceLimitError(
+            f"factorial enumeration refused for n={n} > {PERMANENT_ENUM_LIMIT}")
     if n == 0:
         return 1.0 + 0.0j
     total = 0.0 + 0.0j

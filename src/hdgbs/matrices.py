@@ -41,8 +41,9 @@ def ginibre(n: int, k: int, variance: float, seed) -> np.ndarray:
     ``variance`` (real and imaginary parts carry variance/2 each)."""
     if n < 1 or k < 1:
         raise ContractViolationError(f"dimensions must be >= 1, got ({n}, {k})")
-    if variance <= 0:
-        raise ContractViolationError(f"variance must be positive, got {variance}")
+    if not 0 < variance < math.inf:       # NaN fails both comparisons
+        raise ContractViolationError(
+            f"variance must be positive and finite, got {variance}")
     rng = as_rng(seed)
     scale = math.sqrt(variance / 2.0)
     return scale * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
@@ -176,15 +177,16 @@ def symmetry_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.T))) if a.size else 0.0
 
 
-def assert_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
+def assert_unitary(u: np.ndarray) -> None:
     d = unitarity_defect(u)
-    if not d <= tol:          # a non-finite entry gives a NaN defect
-        raise ContractViolationError(f"matrix is not unitary (defect {d:.3e} > {tol:.1e})")
+    if not d <= UNITARY_TOL:          # a non-finite entry gives a NaN defect
+        raise ContractViolationError(
+            f"matrix is not unitary (defect {d:.3e} > {UNITARY_TOL:.1e})")
 
 
-def assert_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def assert_symmetric(a: np.ndarray) -> np.ndarray:
     """Reject any matrix of ``a`` (shape (..., n, n), n >= 1) whose max-norm
-    of A - A^T exceeds ``tol`` times max(1, max|A|). Returns max|A| per
+    of A - A^T exceeds SYMMETRY_TOL times max(1, max|A|). Returns max|A| per
     matrix, shape (...), so that callers need not take it a second time."""
     a = np.asarray(a)
     if a.size == 0:
@@ -194,11 +196,11 @@ def assert_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if not np.isfinite(mag).all():
         raise ContractViolationError("matrix entries must be finite")
     defect = np.abs(a - a.swapaxes(-2, -1))
-    # a defect within tol passes whatever the magnitude, so the per-matrix
-    # comparison runs only when some entry exceeds it
-    if not defect.max() <= tol:
+    # a defect within SYMMETRY_TOL passes whatever the magnitude, so the
+    # per-matrix comparison runs only when some entry exceeds it
+    if not defect.max() <= SYMMETRY_TOL:
         defect = defect.max(axis=(-2, -1))
-        if (defect > tol * np.maximum(mag, 1.0)).any():
+        if (defect > SYMMETRY_TOL * np.maximum(mag, 1.0)).any():
             raise ContractViolationError(
                 f"matrix is not symmetric (defect {float(np.max(defect)):.3e})")
     return mag
@@ -215,16 +217,20 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
-def _json_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer. A bool, a float such as 2.0 or any
-    other type is a contract violation rather than a silent truncation."""
-    if isinstance(value, bool) or not isinstance(value, int):
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int if it is an integer, a numpy one included, of at
+    least ``minimum``: the one check of counts and JSON integers. A bool, a
+    float such as 2.0 or any other type is a contract violation rather than
+    a silent truncation."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ContractViolationError(f"{name} must be an integer, got {value!r}")
-    return value
+    if minimum is not None and value < minimum:
+        raise ContractViolationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
+    rows, cols = _integer(obj["rows"], "rows"), _integer(obj["cols"], "cols")
     re, im = obj["re"], obj["im"]
     if len(re) != rows * cols or len(im) != rows * cols:
         raise ContractViolationError(

@@ -23,8 +23,8 @@ from .circuit import GbsInstance, adjacency
 from .errors import ContractViolationError, ResourceLimitError
 from .hafnian import FAST_CEILING, hafnian_fast
 from .logmath import NEG_INF, log_binomial, log_factorial, log_hyp2f1
-from .matrices import (_counts, _square, _squeezing, as_rng, reduce_by_pattern,
-                       symmetric_product_submatrix)
+from .matrices import (_counts, _integer, _square, _squeezing, as_rng,
+                       reduce_by_pattern, symmetric_product_submatrix)
 
 MASS_SLACK = 1e-9
 PATTERN_BUDGET = 10 ** 7
@@ -134,8 +134,7 @@ def lossy_total_dist_closed(modes: int, r: float, eta: float,
     factor is 1 and all odd-count mass vanishes, recovering the lossless
     convolution limit.
     """
-    if modes < 1:
-        raise ContractViolationError(f"mode count must be >= 1, got {modes}")
+    modes = _integer(modes, "mode count", 1)
     _squeezing(r)
     _check_eta(eta)
     _check_n_max(n_max)
@@ -224,14 +223,20 @@ def photon_moments(r, eta: float, modes: int | None = None) -> tuple[float, floa
     For M identical squeezers, E(n) = eta M sinh^2 r and
     Var(n) = eta M sinh^2 r (1 + eta (1 + 2 sinh^2 r)). A sequence of
     per-mode squeezing parameters sums the same per-mode expressions,
-    which stays polynomial-time for non-uniform inputs.
+    which stays polynomial-time for non-uniform inputs; a ``modes`` given
+    with it must equal its length.
     """
     _check_eta(eta)
     r_arr = _squeezing(r)
-    if np.isscalar(r):
+    if modes is not None:
+        modes = _integer(modes, "mode count", 1)
+    if r_arr.ndim == 0:
         if modes is None:
             raise ContractViolationError("scalar r requires a mode count")
-        r_arr = np.full(modes, float(r))
+        r_arr = np.full(modes, float(r_arr))
+    elif modes not in (None, r_arr.size):
+        raise ContractViolationError(
+            f"mode count {modes} does not match {r_arr.size} squeezing parameters")
     s = np.sinh(r_arr) ** 2
     mean = eta * float(s.sum())
     variance = float(np.sum(eta * s * (1.0 + eta * (1.0 + 2.0 * s))))
@@ -240,8 +245,7 @@ def photon_moments(r, eta: float, modes: int | None = None) -> tuple[float, floa
 
 def mean_total_photons(k: int, r: float) -> float:
     """Expected total photon count of k squeezers at parameter r."""
-    if k < 0:
-        raise ContractViolationError(f"k must be non-negative, got {k}")
+    k = _integer(k, "k", 0)
     _squeezing(r)
     return k * math.sinh(r) ** 2
 
@@ -249,8 +253,7 @@ def mean_total_photons(k: int, r: float) -> float:
 def most_probable_even(modes: int, r: float) -> int:
     """Most likely outcome of the lossless total-count distribution,
     n* = 2 floor((M/2 - 1) sinh^2 r)."""
-    if modes < 2:
-        raise ContractViolationError(f"mode count must be >= 2, got {modes}")
+    modes = _integer(modes, "mode count", 2)
     _squeezing(r)
     if r == 0:
         return 0
@@ -350,6 +353,7 @@ def exact_sample(instance: GbsInstance, n_max: int, count: int,
     support.
     """
     _check_n_max(n_max)
+    count = _integer(count, "sample count", 0)
     modes = instance.modes
     n_patterns = pattern_count(modes, n_max)
     if n_patterns > PATTERN_BUDGET:

@@ -81,11 +81,9 @@ def test_mode_limit_guard():
     for dim in (13, 20000):
         with pytest.raises(ResourceLimitError, match=f"a=2, D={dim} exceeds"):
             GbsInstance(0.3, 2, dim, 1, 0, ())
-    # build_instance's mode_limit can only lower the bound
+    # build_instance refuses before any gate is drawn
     with pytest.raises(ResourceLimitError, match="mode limit of 4096$"):
-        build_instance(0.3, 2, 200000, 1, seed=0, mode_limit=1 << 20)
-    with pytest.raises(ResourceLimitError, match="mode limit of 4$"):
-        build_instance(0.3, 2, 3, 1, seed=0, mode_limit=4)
+        build_instance(0.3, 2, 200000, 1, seed=0)
 
 
 def test_build_rejects_bad_parameters():
@@ -93,13 +91,6 @@ def test_build_rejects_bad_parameters():
         build_instance(0.8, 1, 2, 1, seed=0)
     with pytest.raises(ContractViolationError):
         build_instance(-0.1, 2, 2, 1, seed=0)
-
-
-def test_shared_layer_gate_flag():
-    inst = build_instance(0.8, 2, 2, 1, seed=3, shared_layer_gate=True)
-    first_layer = [g for g in inst.gates if g.j - g.i == 1]
-    for g in first_layer[1:]:
-        assert np.array_equal(g.v, first_layer[0].v)
 
 
 def test_adjacency_zero_squeezing():

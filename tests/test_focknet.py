@@ -122,6 +122,12 @@ def test_network_validation_catches_label_misuse():
         TensorNetwork((t1, t3), ())        # y open but not declared
 
 
+def test_empty_network_is_refused():
+    # refused where it is made, not later as a plan that does not contract it
+    with pytest.raises(ContractViolationError, match="at least one tensor"):
+        TensorNetwork((), ())
+
+
 def test_single_edge_contraction_cost():
     c = 5
     t1 = FockTensor(("e",), np.ones(c, dtype=complex))

@@ -73,10 +73,9 @@ def test_ginibre_variance_passthrough():
 
 
 def test_ginibre_rejects_bad_variance():
-    with pytest.raises(ContractViolationError):
-        ginibre(2, 2, 0.0, seed=0)
-    with pytest.raises(ContractViolationError):
-        ginibre(2, 2, -1.0, seed=0)
+    for variance in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ContractViolationError):
+            ginibre(2, 2, variance, seed=0)
 
 
 def test_reduce_by_pattern_all_zeros():

@@ -418,6 +418,34 @@ def test_squeezing_must_be_finite_and_non_negative(law, r):
         law(r)
 
 
+@pytest.mark.parametrize("law, message", [
+    (lambda: photon_moments([0.5, 0.5], 1.0, modes=5), "does not match 2"),
+    (lambda: photon_moments(0.5, 1.0, modes=-3), "must be >= 1"),
+    (lambda: photon_moments(0.5, 1.0, modes=2.0), "must be an integer"),
+    (lambda: lossy_total_dist_closed(2.5, 0.5, 0.5, 4), "must be an integer"),
+    (lambda: most_probable_even(2.5, 0.5), "must be an integer"),
+    (lambda: mean_total_photons(2.5, 0.5), "must be an integer"),
+    (lambda: mean_total_photons(True, 0.5), "must be an integer"),
+    (lambda: exact_sample(build_instance(0.3, 2, 1, 1, seed=0), 2, -1, seed=0),
+     "must be >= 0"),
+], ids=["moments-vs-r", "moments-negative", "moments-float", "closed", "most_probable",
+        "mean_total", "mean_total-bool", "exact_sample"])
+def test_counts_must_be_consistent_integers(law, message):
+    with pytest.raises(ContractViolationError, match=message):
+        law()
+
+
+def test_counts_accept_numpy_integers():
+    four = np.int64(4)
+    assert photon_moments([0.5] * 4, 1.0, modes=four) == photon_moments(0.5, 1.0, modes=4)
+    assert photon_moments(0.5, 1.0, modes=np.int32(4)) == photon_moments(0.5, 1.0, modes=4)
+    assert lossy_total_dist_closed(four, 0.5, 0.5, 6).modes == 4
+    assert most_probable_even(np.int64(216), 0.8) == 168
+    assert mean_total_photons(four, 0.5) == mean_total_photons(4, 0.5)
+    samples, _ = exact_sample(build_instance(0.3, 2, 1, 1, seed=0), 2, np.int64(3), seed=0)
+    assert len(samples) == 3
+
+
 @pytest.mark.parametrize("n_max", [-1, -2])
 @pytest.mark.parametrize("law", [
     lambda n_max: squeezed_vacuum_dist(0.5, n_max),
