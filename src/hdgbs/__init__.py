@@ -20,12 +20,12 @@ from .hafnian import (hafnian_enum, hafnian_fast, permanent, permanent_enum,
 from .hiding import (EnsembleSpec, SpectrumHistogram, hiding_scan,
                      sample_ensemble, singular_spectrum, spectra_tv_distance)
 from .matrices import (ginibre, haar_unitary, matrix_from_json, matrix_to_json,
-                       reduce_by_pattern, symmetric_product_submatrix)
-from .probability import (PhotonNumberDist, collision_free_probability,
-                          exact_sample, lossy_total_dist_closed,
-                          mean_total_photons, most_probable_even,
-                          outcome_probability, photon_moments,
-                          squeezed_vacuum_dist, total_dist_convolution)
+                       reduce_by_pattern)
+from .probability import (PhotonNumberDist, exact_sample,
+                          lossy_total_dist_closed, mean_total_photons,
+                          most_probable_even, outcome_probability,
+                          photon_moments, squeezed_vacuum_dist,
+                          total_dist_convolution)
 
 __version__ = "0.1.0"
 
@@ -42,8 +42,8 @@ __all__ = [
     "EnsembleSpec", "SpectrumHistogram", "hiding_scan", "sample_ensemble",
     "singular_spectrum", "spectra_tv_distance",
     "ginibre", "haar_unitary", "matrix_from_json", "matrix_to_json",
-    "reduce_by_pattern", "symmetric_product_submatrix",
-    "PhotonNumberDist", "collision_free_probability", "exact_sample",
+    "reduce_by_pattern",
+    "PhotonNumberDist", "exact_sample",
     "lossy_total_dist_closed", "mean_total_photons", "most_probable_even",
     "outcome_probability", "photon_moments", "squeezed_vacuum_dist",
     "total_dist_convolution",

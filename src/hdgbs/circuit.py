@@ -102,12 +102,9 @@ def light_cone_band(a: int, dim: int, cycles: int) -> int:
 
 
 def _validate_lattice(a: int, dim: int, cycles: int) -> None:
-    if a < 2:
-        raise ContractViolationError(f"lattice size must be >= 2, got a={a}")
-    if dim < 1:
-        raise ContractViolationError(f"lattice dimension must be >= 1, got D={dim}")
-    if cycles < 1:
-        raise ContractViolationError(f"cycle count must be >= 1, got C={cycles}")
+    _integer(a, "lattice size a", 2)
+    _integer(dim, "lattice dimension D", 1)
+    _integer(cycles, "cycle count C", 1)
 
 
 def _check_mode_limit(a: int, dim: int) -> None:
@@ -140,7 +137,7 @@ def build_instance(r: float, a: int, dim: int, cycles: int, seed: int) -> GbsIns
     than MODE_LIMIT modes is refused before any gate is drawn."""
     _validate_lattice(a, dim, cycles)
     _check_mode_limit(a, dim)
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     rng = as_rng(seed)
     gates = tuple(Gate(i, j, haar_isometry(2, 2, rng))
                   for layer in _layers(a, dim, cycles) for i, j in layer)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .circuit import GbsInstance
 from .errors import ContractViolationError, ResourceLimitError
-from .matrices import _counts, _seed_sequence, _squeezing, assert_unitary
+from .matrices import _counts, _integer, _seed_sequence, _squeezing, assert_unitary
 
 MEMORY_GUARD_ELEMS = 10 ** 8
 # a wire of mode q after its hop-th gate, as build_network labels it
@@ -119,8 +119,7 @@ def squeezed_vacuum_tensor(r: float, cutoff: int, label: str = "out") -> FockTen
     levels: amp(2k) = (-tanh r)^k sqrt((2k)!) / (2^k k! sqrt(cosh r)),
     zero on odd levels."""
     _squeezing(r)
-    if cutoff < 1:
-        raise ContractViolationError(f"cutoff must be >= 1, got {cutoff}")
+    cutoff = _integer(cutoff, "cutoff", 1)
     amp = np.zeros(cutoff, dtype=complex)
     for k in range((cutoff - 1) // 2 + 1):
         amp[2 * k] = ((-math.tanh(r)) ** k
@@ -166,8 +165,7 @@ def beamsplitter_tensor(v: np.ndarray, cutoff: int,
     if v.shape != (2, 2):
         raise ContractViolationError(f"expected a 2x2 matrix, got {v.shape}")
     assert_unitary(v)
-    if cutoff < 1:
-        raise ContractViolationError(f"cutoff must be >= 1, got {cutoff}")
+    cutoff = _integer(cutoff, "cutoff", 1)
     # numpy scalar arithmetic term by term, in the order of the expansion:
     # array arithmetic would change the last bits
     p00, p10, p01, p11 = ([v[p, q] ** k for k in range(cutoff)]
@@ -417,8 +415,7 @@ def contraction_cost(network: TensorNetwork, trials: int, seed) -> ContractionPl
     Element counts saturate at inf; when even the best plan's est_flops
     is infinite, ResourceLimitError is raised.
     """
-    if trials < 1:
-        raise ContractViolationError(f"trials must be >= 1, got {trials}")
+    trials = _integer(trials, "trials", 1)
     sweep = _sweep_order(network)
     swept = [] if sweep is None else [(sweep, *_Walk(network._index).finish(sweep))]
     setup = _search_setup(network._index)

@@ -9,14 +9,13 @@ distinguishable structure; closeness is measured as total-variation
 distance between pooled, binned spectra.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .matrices import _seed_sequence, as_rng, ginibre, haar_isometry
+from .matrices import _integer, _seed_sequence, as_rng, ginibre, haar_isometry
 
 ENSEMBLE_KINDS = ("haar_sub", "gaussian", "coe_sub", "gaussian_sym")
 
@@ -38,10 +37,8 @@ class EnsembleSpec:
         if self.kind not in ENSEMBLE_KINDS:
             raise ContractViolationError(
                 f"unknown ensemble kind {self.kind!r}, expected one of {ENSEMBLE_KINDS}")
-        if not all(isinstance(v, numbers.Integral) for v in (self.m, self.n, self.k)):
-            raise ContractViolationError(
-                f"M, N and K must be integers, got "
-                f"M={self.m!r}, N={self.n!r}, K={self.k!r}")
+        for value, name in ((self.m, "M"), (self.n, "N"), (self.k, "K")):
+            _integer(value, name)
         if not 1 <= self.n <= self.k <= self.m:
             raise ContractViolationError(
                 f"need 1 <= N <= K <= M, got N={self.n}, K={self.k}, M={self.m}")

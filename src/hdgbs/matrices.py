@@ -80,13 +80,16 @@ def _counts(pattern, modes: int, stack: bool = False) -> np.ndarray:
 
 
 def _squeezing(r) -> np.ndarray:
-    """``r``, one squeezing parameter or an array of them, as a float array
-    once every entry is a finite real number >= 0 (a bool is not): the one
-    check of squeezing."""
+    """``r``, one squeezing parameter or a 1-D array of them, as a float
+    array once every entry is a finite real number >= 0 (a bool is not):
+    the one check of squeezing."""
     if np.asarray(r).dtype.kind not in "iuf":
         raise ContractViolationError(
             f"squeezing parameters must be real numbers, got {r!r}")
     r = np.asarray(r, dtype=float)
+    if r.ndim > 1:
+        raise ContractViolationError(
+            f"squeezing parameters must be one number or a 1-D array, got shape {r.shape}")
     bad = ~((r >= 0.0) & (r < math.inf))      # NaN fails both comparisons
     if bad.any():
         raise ContractViolationError(
@@ -137,24 +140,6 @@ def reduce_by_pattern(a: np.ndarray, pattern) -> np.ndarray:
     idx = np.repeat(np.tile(np.arange(modes), totals.size), counts.ravel())
     idx = idx.reshape(counts.shape[:-1] + (total,))
     return a[idx[..., :, None], idx[..., None, :]]
-
-
-def symmetric_product_submatrix(u: np.ndarray, pattern, k: int) -> np.ndarray:
-    """Sub-matrix (U I_k U^T)_{n,n} for a collision-free pattern n.
-
-    I_k is the rank-k projector onto the first k modes, so the result
-    equals V V^T where V is the block of U with rows selected by the
-    pattern and the first k columns. Returned directly in that product
-    form (N x N, symmetric).
-    """
-    u = np.asarray(u)
-    counts = _counts(pattern, u.shape[0])
-    if counts.max(initial=0) > 1:
-        raise ContractViolationError("pattern must be collision-free (entries in {0, 1})")
-    if not 1 <= k <= u.shape[1]:
-        raise ContractViolationError(f"need 1 <= k <= {u.shape[1]}, got k={k}")
-    v = u[counts == 1, :k]
-    return v @ v.T
 
 
 def random_symmetric(n: int, seed, scale: float = 1.0) -> np.ndarray:

@@ -24,7 +24,7 @@ from .errors import ContractViolationError, ResourceLimitError
 from .hafnian import FAST_CEILING, hafnian_fast
 from .logmath import NEG_INF, log_binomial, log_factorial, log_hyp2f1
 from .matrices import (_counts, _integer, _square, _squeezing, as_rng,
-                       reduce_by_pattern, symmetric_product_submatrix)
+                       reduce_by_pattern)
 
 MASS_SLACK = 1e-9
 PATTERN_BUDGET = 10 ** 7
@@ -32,31 +32,34 @@ PATTERN_BUDGET = 10 ** 7
 
 @dataclass(frozen=True)
 class PhotonNumberDist:
-    """Probability mass over the total photon count 0..n_max, in log space.
+    """Probability mass over the total photon count 0..n_max, in log space,
+    with n_max = len(log_probs) - 1.
 
-    ``modes``, ``r`` and ``eta`` record the source when it is known; a
-    law read back from a file has none. With ``eta`` 1.0 (lossless) the
-    law may carry no odd-count mass."""
+    ``eta`` records the transmission when it is known; a law read back
+    from a file has none. With ``eta`` 1.0 (lossless) the law may carry no
+    odd-count mass."""
 
     log_probs: np.ndarray = field(repr=False)
-    n_max: int
-    modes: int | None = None
-    r: object = None          # scalar squeezing or a per-mode tuple
-    eta: float | None = None
+    eta: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        _check_n_max(self.n_max)
         lp = np.asarray(self.log_probs, dtype=float)
-        if lp.shape != (self.n_max + 1,):
+        if lp.ndim != 1 or lp.size == 0:
             raise ContractViolationError(
-                f"log_probs length {lp.shape} does not match n_max={self.n_max}")
+                f"log_probs must be a non-empty 1-D array, got shape {lp.shape}")
+        if self.eta is not None:
+            _check_eta(self.eta)
         if not np.all(lp < math.inf):     # -inf is zero mass; NaN and +inf are not
             raise ContractViolationError("log_probs must not hold NaN or +inf")
-        total = float(np.exp(lp[lp > NEG_INF]).sum()) if lp.size else 0.0
+        total = float(np.exp(lp[lp > NEG_INF]).sum())
         if total > 1.0 + MASS_SLACK:
             raise ContractViolationError(f"total mass {total} exceeds 1")
         if self.eta == 1.0 and np.any(lp[1::2] > NEG_INF):
             raise ContractViolationError("lossless distribution has odd-count mass")
+
+    @property
+    def n_max(self) -> int:
+        return len(self.log_probs) - 1
 
     @property
     def probs(self) -> np.ndarray:
@@ -90,7 +93,7 @@ def squeezed_vacuum_log_probs(r: float, n_max: int) -> np.ndarray:
     """log p(n) of a single-mode squeezed vacuum, p(2k) =
     (2k)! tanh^2k(r) / (4^k (k!)^2 cosh r), zero on odd counts."""
     _squeezing(r)
-    _check_n_max(n_max)
+    n_max = _integer(n_max, "truncation n_max", 0)
     lp = np.full(n_max + 1, NEG_INF)
     log_sech = -math.log(math.cosh(r))
     if r == 0.0:
@@ -104,18 +107,12 @@ def squeezed_vacuum_log_probs(r: float, n_max: int) -> np.ndarray:
 
 
 def squeezed_vacuum_dist(r: float, n_max: int) -> PhotonNumberDist:
-    return PhotonNumberDist(log_probs=squeezed_vacuum_log_probs(r, n_max),
-                            n_max=n_max, modes=1, r=float(r), eta=1.0)
+    return PhotonNumberDist(squeezed_vacuum_log_probs(r, n_max), eta=1.0)
 
 
 def _check_eta(eta: float) -> None:
     if not 0.0 <= eta <= 1.0:
         raise ContractViolationError(f"transmission must lie in [0, 1], got {eta}")
-
-
-def _check_n_max(n_max: int) -> None:
-    if n_max < 0:
-        raise ContractViolationError(f"truncation n_max must be >= 0, got {n_max}")
 
 
 def lossy_total_dist_closed(modes: int, r: float, eta: float,
@@ -137,11 +134,11 @@ def lossy_total_dist_closed(modes: int, r: float, eta: float,
     modes = _integer(modes, "mode count", 1)
     _squeezing(r)
     _check_eta(eta)
-    _check_n_max(n_max)
+    n_max = _integer(n_max, "truncation n_max", 0)
     lp = np.full(n_max + 1, NEG_INF)
     if r == 0.0 or eta == 0.0:
         lp[0] = 0.0
-        return PhotonNumberDist(lp, n_max, modes, float(r), float(eta))
+        return PhotonNumberDist(lp, eta=float(eta))
     log_tanh = math.log(math.tanh(r))
     log_sech_m = -modes * math.log(math.cosh(r))
     log_eta = math.log(eta)
@@ -157,14 +154,14 @@ def lossy_total_dist_closed(modes: int, r: float, eta: float,
                      + log_binomial((modes + n - 1) / 2, (n + 1) / 2)
                      + log_sech_m + (n + 1) * log_tanh
                      + log_hyp2f1((n + 2) / 2, (modes + n + 1) / 2, 1.5, z))
-    return PhotonNumberDist(lp, n_max, modes, float(r), float(eta))
+    return PhotonNumberDist(lp, eta=float(eta))
 
 
 def binomial_thinning_matrix(eta: float, n_max: int) -> np.ndarray:
     """L[k, n] = C(n, k) eta^k (1-eta)^(n-k): the action of uniform photon
     loss on a count distribution (columns sum to 1)."""
     _check_eta(eta)
-    _check_n_max(n_max)
+    n_max = _integer(n_max, "truncation n_max", 0)
     size = n_max + 1
     if eta == 1.0:
         return np.eye(size)
@@ -193,14 +190,13 @@ def total_dist_convolution(r_vec, eta: float, n_max: int) -> PhotonNumberDist:
     if r.size == 0:
         raise ContractViolationError("r_vec must contain at least one mode")
     _check_eta(eta)
-    _check_n_max(n_max)
-    r_param = float(r[0]) if np.all(r == r[0]) else tuple(float(x) for x in r)
+    n_max = _integer(n_max, "truncation n_max", 0)
     # eta = 0 maps every count to zero regardless of the pre-thinning tail,
     # so short-circuit to the exact point mass
     if eta == 0.0:
         lp = np.full(n_max + 1, NEG_INF)
         lp[0] = 0.0
-        return PhotonNumberDist(lp, n_max, len(r), r_param, 0.0)
+        return PhotonNumberDist(lp, eta=0.0)
     thin = binomial_thinning_matrix(eta, n_max)
     total = np.zeros(n_max + 1)
     total[0] = 1.0
@@ -214,7 +210,7 @@ def total_dist_convolution(r_vec, eta: float, n_max: int) -> PhotonNumberDist:
         total = np.convolve(total, cache[key])[: n_max + 1]
     with np.errstate(divide="ignore"):
         lp = np.log(total)
-    return PhotonNumberDist(lp, n_max, len(r), r_param, float(eta))
+    return PhotonNumberDist(lp, eta=float(eta))
 
 
 def photon_moments(r, eta: float, modes: int | None = None) -> tuple[float, float]:
@@ -276,10 +272,10 @@ def outcome_probability(a: np.ndarray, r_vec, pattern,
     """
     a = _square(a)
     modes = a.shape[0]
-    r = _squeezing(r_vec)
-    if r.shape != (modes,):
+    if np.shape(r_vec) != (modes,):
         raise ContractViolationError(
-            f"r_vec has shape {r.shape}, expected ({modes},), one entry per mode")
+            f"r_vec has shape {np.shape(r_vec)}, expected ({modes},), one entry per mode")
+    r = _squeezing(r_vec)
     counts = _counts(pattern, modes, stack=True)
     rows = counts.reshape(-1, modes)
     totals = rows.sum(axis=1)
@@ -300,27 +296,6 @@ def outcome_probability(a: np.ndarray, r_vec, pattern,
     if counts.ndim == 1:
         return float(probs[0])
     return probs.reshape(counts.shape[:-1])
-
-
-def collision_free_probability(u: np.ndarray, k: int, r: float, pattern,
-                               workers: int | None = None) -> float:
-    """Probability of a collision-free outcome with the first k modes
-    squeezed at r and the rest in vacuum:
-
-        Pr(n) = tanh^N(r) / cosh^K(r) * |Haf((U I_K U^T)_nn)|^2.
-    """
-    _squeezing(r)
-    sub = symmetric_product_submatrix(u, pattern, k)
-    total = sub.shape[0]
-    h = hafnian_fast(sub, workers=workers)
-    if total > 0 and r == 0.0:
-        return 0.0
-    if h == 0:
-        return 0.0
-    log_pref = -k * math.log(math.cosh(r))
-    if total > 0:
-        log_pref += total * math.log(math.tanh(r))
-    return math.exp(2.0 * math.log(abs(h)) + log_pref)
 
 
 def enumerate_patterns(modes: int, n_max: int):
@@ -352,7 +327,7 @@ def exact_sample(instance: GbsInstance, n_max: int, count: int,
     truncated_mass is the probability weight outside the enumerated
     support.
     """
-    _check_n_max(n_max)
+    n_max = _integer(n_max, "truncation n_max", 0)
     count = _integer(count, "sample count", 0)
     modes = instance.modes
     n_patterns = pattern_count(modes, n_max)

@@ -49,9 +49,7 @@ API = {
     "matrix_from_json": ("obj",),
     "matrix_to_json": ("a",),
     "reduce_by_pattern": ("a", "pattern"),
-    "symmetric_product_submatrix": ("u", "pattern", "k"),
-    "PhotonNumberDist": ("log_probs", "n_max", "modes", "r", "eta"),
-    "collision_free_probability": ("u", "k", "r", "pattern", "workers"),
+    "PhotonNumberDist": ("log_probs", "eta"),
     "exact_sample": ("instance", "n_max", "count", "seed"),
     "lossy_total_dist_closed": ("modes", "r", "eta", "n_max"),
     "mean_total_photons": ("k", "r"),

@@ -86,7 +86,7 @@ def test_extrapolate_monotone():
 
 def _point_mass_at_zero():
     lp = np.array([0.0, NEG_INF, NEG_INF])
-    return PhotonNumberDist(lp, 2, modes=1, r=0.0, eta=1.0)
+    return PhotonNumberDist(lp, eta=1.0)
 
 
 def test_sample_time_point_mass_is_free():
@@ -99,7 +99,7 @@ def test_sample_time_point_mass_is_free():
 
 def test_sample_time_linear_in_overhead():
     lp = np.log(np.array([0.5, 0.25, 0.25]))
-    dist = PhotonNumberDist(lp, 2, modes=1, r=0.5, eta=0.5)
+    dist = PhotonNumberDist(lp, eta=0.5)
     model = CostModel(c=1e-6, r_squared=1.0, machine_label="x")
     s1, _ = sample_time_estimate(dist, model, overhead=100.0, p_min=1e-3)
     s2, _ = sample_time_estimate(dist, model, overhead=200.0, p_min=1e-3)
@@ -108,7 +108,7 @@ def test_sample_time_linear_in_overhead():
 
 def test_sample_time_cut_selects_last_qualifying_count():
     lp = np.log(np.array([0.9, 0.05, 0.04, 1e-9, 0.01 - 1e-9]))
-    dist = PhotonNumberDist(lp, 4, modes=1, r=0.5, eta=0.5)
+    dist = PhotonNumberDist(lp, eta=0.5)
     model = CostModel(c=1.0, r_squared=1.0, machine_label="x")
     _, n_cut = sample_time_estimate(dist, model, overhead=1.0, p_min=1e-3)
     assert n_cut == 4                       # count 3 is below threshold, 4 above

@@ -11,9 +11,8 @@ from hdgbs.circuit import (GbsInstance, LossBudget, adjacency, adjacency_general
                            instance_to_json, light_cone_band, loss_budget,
                            loss_budget_report)
 from hdgbs.errors import ContractViolationError, ResourceLimitError
-from hdgbs.matrices import (haar_unitary, matrix_to_json,
-                            symmetric_product_submatrix, symmetry_defect,
-                            unitarity_defect)
+from hdgbs.matrices import (haar_unitary, matrix_to_json, reduce_by_pattern,
+                            symmetry_defect, unitarity_defect)
 
 
 def test_gate_count_a3_d2():
@@ -93,6 +92,26 @@ def test_build_rejects_bad_parameters():
         build_instance(-0.1, 2, 2, 1, seed=0)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0.3, 2, 2, True, 2), "cycle count C must be an integer, got True"),
+    ((0.3, 2, 2, 1, 2.7), "seed must be an integer, got 2.7"),
+    ((0.3, 2.0, 2, 1, 2), "lattice size a must be an integer, got 2.0"),
+    ((0.3, 2, True, 1, 2), "lattice dimension D must be an integer, got True"),
+], ids=["bool-cycles", "fractional-seed", "float-size", "bool-dimension"])
+def test_build_rejects_bools_and_fractions_as_counts(args, message):
+    # (0.3, 2, 2, True, 2.7) used to build an instance with seed 2 whose
+    # JSON, holding "C": true, instance_from_json refused
+    with pytest.raises(ContractViolationError, match=message):
+        build_instance(*args)
+
+
+def test_lattice_helpers_reject_a_bool_count():
+    with pytest.raises(ContractViolationError, match="cycle count C must be an integer"):
+        light_cone_band(2, 2, True)
+    with pytest.raises(ContractViolationError, match="lattice size a must be an integer"):
+        loss_budget(2.0, 2, 1, LossBudget(eta_bs=0.9, eta_unit=0.998))
+
+
 def test_adjacency_zero_squeezing():
     inst = build_instance(0.0, 2, 2, 1, seed=4)
     assert np.abs(adjacency(inst)).max() == 0.0
@@ -128,9 +147,9 @@ def test_adjacency_general_first_k_squeezed_matches_projected_product():
     r, k = 0.7, 3
     r_vec = [r] * k + [0.0] * 5
     pattern = np.array([1, 0, 1, 0, 0, 0, 1, 1])
-    from hdgbs.matrices import reduce_by_pattern
     via_adjacency = reduce_by_pattern(adjacency_general(u, r_vec), pattern)
-    via_product = math.tanh(r) * symmetric_product_submatrix(u, pattern, k)
+    v = u[pattern == 1, :k]
+    via_product = math.tanh(r) * (v @ v.T)
     assert np.abs(via_adjacency - via_product).max() < 1e-12
 
 

@@ -106,6 +106,21 @@ def test_network_tensor_count_and_audit():
     assert closed.open_labels == ()
 
 
+@pytest.mark.parametrize("law, name", [
+    (lambda net: squeezed_vacuum_tensor(0.5, 2.5), "cutoff"),
+    (lambda net: beamsplitter_tensor(np.eye(2), 2.5), "cutoff"),
+    (lambda net: build_network(build_instance(0.3, 2, 2, 1, seed=0), 2.5), "cutoff"),
+    (lambda net: squeezed_vacuum_tensor(0.5, True), "cutoff"),
+    (lambda net: contraction_cost(net, 2.5, 0), "trials"),
+    (lambda net: contraction_cost(net, True, 0), "trials"),
+], ids=["squeezer", "beamsplitter", "network", "squeezer-bool", "trials", "trials-bool"])
+def test_cutoff_and_trials_must_be_integers(law, name):
+    # 2.5 used to end in a bare TypeError, and trials=True ran one trial
+    net = build_network(build_instance(0.3, 2, 1, 1, seed=0), 2, [0, 0])
+    with pytest.raises(ContractViolationError, match=f"{name} must be an integer"):
+        law(net)
+
+
 def test_network_rejects_pattern_over_cutoff():
     inst = build_instance(0.3, 2, 1, 1, seed=6)
     with pytest.raises(ContractViolationError):

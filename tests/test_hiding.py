@@ -18,8 +18,12 @@ def test_spec_validation():
         EnsembleSpec("coe_sub", m=10, n=2, k=12)      # K > M
     with pytest.raises(ContractViolationError):
         EnsembleSpec("nonsense", m=10, n=2, k=5)
-    with pytest.raises(ContractViolationError, match="must be integers"):
+    with pytest.raises(ContractViolationError, match="M must be an integer, got 100.5"):
         EnsembleSpec("coe_sub", m=100.5, n=8, k=100)
+    with pytest.raises(ContractViolationError, match="M must be an integer, got True"):
+        EnsembleSpec("gaussian", True, True, True)      # not a 1 x 1 spec
+    with pytest.raises(ContractViolationError, match="K must be an integer, got 2.0"):
+        EnsembleSpec("gaussian", 4, 2, 2.0)
 
 
 def test_coe_full_block_is_symmetric_unitary():

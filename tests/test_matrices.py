@@ -8,8 +8,8 @@ from hdgbs.errors import ContractViolationError
 from hdgbs.matrices import (assert_symmetric, assert_unitary, ginibre,
                             haar_isometry, haar_unitary,
                             matrix_from_json, matrix_to_json, random_symmetric,
-                            reduce_by_pattern, symmetric_product_submatrix,
-                            symmetry_defect, unitarity_defect)
+                            reduce_by_pattern, symmetry_defect,
+                            unitarity_defect)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 17, 64, 200, 512])
@@ -123,30 +123,25 @@ def test_reduce_by_pattern_stack_of_patterns():
 
 
 def test_symmetric_product_full_k_equals_uut_reduction():
+    # for a collision-free n, (U U^T)_{n,n} = V V^T with V the rows of U in n
     u = haar_unitary(6, seed=31)
     n = np.array([1, 0, 1, 1, 0, 0])
-    direct = symmetric_product_submatrix(u, n, k=6)
-    expected = reduce_by_pattern(u @ u.T, n)
-    assert np.abs(direct - expected).max() < 1e-12
+    v = u[n == 1]
+    assert np.abs(reduce_by_pattern(u @ u.T, n) - v @ v.T).max() < 1e-12
 
 
 def test_symmetric_product_matches_dense_projection():
-    # (U I_K U^T)_{n,n} computed densely is the oracle
+    # (U I_K U^T)_{n,n} = V V^T with V the rows of U in n and its first K
+    # columns: the product form of the collision-free probability oracle
     u = haar_unitary(6, seed=32)
     n = np.array([0, 1, 0, 0, 1, 0])
     k = 3
     i_k = np.zeros((6, 6))
     i_k[:k, :k] = np.eye(k)
     dense = reduce_by_pattern(u @ i_k @ u.T, n)
-    fast = symmetric_product_submatrix(u, n, k)
-    assert np.abs(dense - fast).max() < 1e-12
-    assert symmetry_defect(fast) < 1e-12
-
-
-def test_symmetric_product_rejects_collisions():
-    u = haar_unitary(4, seed=33)
-    with pytest.raises(ContractViolationError):
-        symmetric_product_submatrix(u, [2, 0, 0, 0], k=2)
+    v = u[n == 1, :k]
+    assert np.abs(dense - v @ v.T).max() < 1e-12
+    assert symmetry_defect(dense) < 1e-12
 
 
 def test_matrix_json_round_trip():
@@ -176,11 +171,6 @@ def test_integral_float_and_integer_patterns_agree():
     a = random_symmetric(4, seed=2)
     assert np.array_equal(reduce_by_pattern(a, [2.0, 0.0, 1.0, 1.0]),
                           reduce_by_pattern(a, np.array([2, 0, 1, 1], dtype=np.uint8)))
-
-
-def test_symmetric_product_rejects_fractional_pattern():
-    with pytest.raises(ContractViolationError, match="non-negative integers"):
-        symmetric_product_submatrix(haar_unitary(4, seed=33), [0.5, 0, 1, 0], k=2)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "inf"])

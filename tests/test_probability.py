@@ -2,8 +2,9 @@
 
 The closed-form lossy distribution is validated against the independent
 convolution route (per-mode squeezed vacuum, binomially thinned, then
-convolved), and outcome probabilities are cross-checked between their two
-algebraic encodings.
+convolved), and outcome probabilities of collision-free patterns are
+checked against the paper's first-k-squeezed form, evaluated here by
+Hafnian enumeration as an independent oracle.
 """
 import math
 
@@ -12,11 +13,11 @@ import pytest
 
 from hdgbs.circuit import adjacency, adjacency_general, build_instance
 from hdgbs.errors import ContractViolationError, ResourceLimitError
+from hdgbs.hafnian import hafnian_enum
 from hdgbs.logmath import NEG_INF
 from hdgbs.matrices import haar_unitary
 from hdgbs.probability import (PhotonNumberDist, binomial_thinning_matrix,
-                               collision_free_probability, enumerate_patterns,
-                               exact_sample, lossy_total_dist_closed,
+                               enumerate_patterns, exact_sample, lossy_total_dist_closed,
                                mean_total_photons, most_probable_even,
                                outcome_probability, pattern_count,
                                photon_moments, squeezed_vacuum_dist,
@@ -181,27 +182,45 @@ def test_thinning_matrix_matches_the_lgamma_loop_bit_for_bit(eta, n_max):
 
 def test_dist_type_rejects_overfull_mass():
     with pytest.raises(ContractViolationError):
-        PhotonNumberDist(np.array([0.0, 0.0]), 1, 1, 0.5, 1.0)  # two units of mass
+        PhotonNumberDist(np.array([0.0, 0.0]), eta=1.0)  # two units of mass
 
 
 def test_dist_type_rejects_odd_mass_when_lossless():
     lp = np.log(np.array([0.6, 0.4]))
     with pytest.raises(ContractViolationError):
-        PhotonNumberDist(lp, 1, 1, 0.5, 1.0)
+        PhotonNumberDist(lp, eta=1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["NaN", "+inf"])
 def test_dist_type_rejects_nan_or_positive_infinite_log_probs(bad):
     with pytest.raises(ContractViolationError, match="NaN or \\+inf"):
-        PhotonNumberDist(np.array([bad, 0.0]), 1)
+        PhotonNumberDist(np.array([bad, 0.0]))
     with pytest.raises(ContractViolationError, match="NaN or \\+inf"):
-        PhotonNumberDist(np.array([NEG_INF, bad]), 1)
+        PhotonNumberDist(np.array([NEG_INF, bad]))
 
 
 def test_dist_type_metadata_is_optional():
     # a law read back from a file has no known source: no lossless check
-    dist = PhotonNumberDist(np.log(np.array([0.6, 0.4])), 1)
-    assert (dist.modes, dist.r, dist.eta) == (None, None, None)
+    dist = PhotonNumberDist(np.log(np.array([0.6, 0.4])))
+    assert dist.eta is None
+    assert dist.n_max == 1
+
+
+@pytest.mark.parametrize("log_probs", [np.zeros(0), np.zeros((2, 2)), np.float64(0.0)],
+                         ids=["empty", "2-D", "scalar"])
+def test_dist_type_rejects_empty_or_non_1d_log_probs(log_probs):
+    # n_max is len(log_probs) - 1, so an empty law has no n_max at all
+    with pytest.raises(ContractViolationError, match="non-empty 1-D"):
+        PhotonNumberDist(log_probs)
+
+
+def test_dist_type_eta_is_keyword_only_and_checked():
+    lp = np.log(np.array([0.6, 0.4]))
+    with pytest.raises(TypeError):
+        PhotonNumberDist(lp, 1)         # the old positional n_max is not an eta
+    with pytest.raises(ContractViolationError, match="transmission must lie in"):
+        PhotonNumberDist(lp, eta=5.0)
+    assert PhotonNumberDist(lp, eta=0.5).n_max == 1
 
 
 # ------------------------------------------------------- most probable n
@@ -271,41 +290,58 @@ def test_stacked_outcome_probability_equals_per_pattern_bit_for_bit():
     assert grid.tobytes() == np.array(per[:10]).tobytes()
 
 
+def _collision_free_oracle(u, k, r, pattern):
+    """The paper's collision-free probability with the first k modes
+    squeezed at r, tanh^N(r) / cosh^k(r) |Haf(V V^T)|^2, where V holds the
+    pattern's rows of the first k columns of u; the Hafnian is enumerated."""
+    rows = np.flatnonzero(pattern)
+    v = u[rows, :k]
+    return math.tanh(r) ** len(rows) / math.cosh(r) ** k * abs(hafnian_enum(v @ v.T)) ** 2
+
+
+def _first_k_probability(u, k, r, pattern):
+    r_vec = np.array([r] * k + [0.0] * (u.shape[0] - k))
+    return outcome_probability(adjacency_general(u, r_vec), r_vec, pattern)
+
+
 def test_collision_free_vacuum():
     u = haar_unitary(6, seed=9)
-    p = collision_free_probability(u, k=4, r=0.7, pattern=[0] * 6)
+    p = _first_k_probability(u, 4, 0.7, [0] * 6)
     assert p == pytest.approx(math.cosh(0.7) ** -4, rel=1e-12)
+    assert _collision_free_oracle(u, 4, 0.7, [0] * 6) == pytest.approx(p, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_two_route_equality(seed):
-    # first-K-squeezed encoding of the general formula must agree with the
-    # projected-product form to 1e-12 relative
+    # the general formula with the first k modes squeezed must agree with
+    # the projected-product form to 1e-12 relative
     m, k, r = 8, 4, 0.6
     u = haar_unitary(m, seed=100 + seed)
     rng = np.random.default_rng(seed)
     pattern = np.zeros(m, dtype=int)
     pattern[rng.choice(m, size=2, replace=False)] = 1
-    r_vec = np.array([r] * k + [0.0] * (m - k))
-    p_general = outcome_probability(adjacency_general(u, r_vec), r_vec, pattern)
-    p_cf = collision_free_probability(u, k, r, pattern)
-    assert p_cf == pytest.approx(p_general, rel=1e-12)
+    p_general = _first_k_probability(u, k, r, pattern)
+    assert _collision_free_oracle(u, k, r, pattern) == pytest.approx(p_general, rel=1e-12)
 
 
 def test_two_route_equality_full_k():
     m = 6
     u = haar_unitary(m, seed=55)
     pattern = [1, 1, 0, 0, 0, 0]
-    r_vec = [0.5] * m
-    p_general = outcome_probability(adjacency_general(u, r_vec), r_vec, pattern)
-    p_cf = collision_free_probability(u, m, 0.5, pattern)
-    assert p_cf == pytest.approx(p_general, rel=1e-12)
+    p_general = _first_k_probability(u, m, 0.5, pattern)
+    assert _collision_free_oracle(u, m, 0.5, pattern) == pytest.approx(p_general, rel=1e-12)
 
 
-def test_collision_free_rejects_collisions():
-    u = haar_unitary(4, seed=2)
-    with pytest.raises(ContractViolationError):
-        collision_free_probability(u, 2, 0.5, [2, 0, 0, 0])
+@pytest.mark.parametrize("k", [1, 5, 12])
+@pytest.mark.parametrize("total", range(2, 13))
+def test_collision_free_oracle_matches_outcome_probability(total, k):
+    m, r = 12, 0.6
+    u = haar_unitary(m, seed=400 + total)
+    pattern = np.zeros(m, dtype=int)
+    pattern[np.random.default_rng(total).choice(m, size=total, replace=False)] = 1
+    want = _collision_free_oracle(u, k, r, pattern)
+    assert (want == 0.0) == (total % 2 == 1)      # odd totals carry no mass
+    assert _first_k_probability(u, k, r, pattern) == pytest.approx(want, rel=1e-12)
 
 
 def test_probability_normalization_small_instance():
@@ -393,8 +429,6 @@ def test_outcome_probability_rejects_fractional_pattern():
     assert outcome_probability(a, r_vec, [0, 1, 1, 0]) > 0
     with pytest.raises(ContractViolationError, match="non-negative integers"):
         outcome_probability(a, r_vec, [0, 1.9, 1.2, 0])
-    with pytest.raises(ContractViolationError, match="non-negative integers"):
-        collision_free_probability(haar_unitary(4, seed=2), 2, 0.3, [0, 0.5, 1, 0])
 
 
 BAD_R = [float("nan"), float("inf"), -0.3]
@@ -403,7 +437,6 @@ BAD_R = [float("nan"), float("inf"), -0.3]
 @pytest.mark.parametrize("r", BAD_R, ids=["nan", "inf", "negative"])
 @pytest.mark.parametrize("law", [
     lambda r: outcome_probability(np.zeros((2, 2)), [0.5, r], [1, 1]),
-    lambda r: collision_free_probability(haar_unitary(2, seed=1), 1, r, [1, 1]),
     lambda r: photon_moments(r, eta=0.5, modes=4),
     lambda r: photon_moments([0.5, r], eta=0.5),
     lambda r: squeezed_vacuum_dist(r, 10),
@@ -411,7 +444,7 @@ BAD_R = [float("nan"), float("inf"), -0.3]
     lambda r: total_dist_convolution([0.5, r], 0.5, 10),
     lambda r: mean_total_photons(4, r),
     lambda r: most_probable_even(4, r),
-], ids=["outcome_probability", "collision_free", "moments-scalar", "moments-vector",
+], ids=["outcome_probability", "moments-scalar", "moments-vector",
         "squeezed_vacuum", "closed", "convolution", "mean_total", "most_probable"])
 def test_squeezing_must_be_finite_and_non_negative(law, r):
     with pytest.raises(ContractViolationError, match="finite and >= 0"):
@@ -439,22 +472,43 @@ def test_counts_accept_numpy_integers():
     four = np.int64(4)
     assert photon_moments([0.5] * 4, 1.0, modes=four) == photon_moments(0.5, 1.0, modes=4)
     assert photon_moments(0.5, 1.0, modes=np.int32(4)) == photon_moments(0.5, 1.0, modes=4)
-    assert lossy_total_dist_closed(four, 0.5, 0.5, 6).modes == 4
+    assert (lossy_total_dist_closed(four, 0.5, 0.5, 6).log_probs.tobytes()
+            == lossy_total_dist_closed(4, 0.5, 0.5, 6).log_probs.tobytes())
     assert most_probable_even(np.int64(216), 0.8) == 168
     assert mean_total_photons(four, 0.5) == mean_total_photons(4, 0.5)
     samples, _ = exact_sample(build_instance(0.3, 2, 1, 1, seed=0), 2, np.int64(3), seed=0)
     assert len(samples) == 3
 
 
-@pytest.mark.parametrize("n_max", [-1, -2])
-@pytest.mark.parametrize("law", [
+TRUNCATED_LAWS = pytest.mark.parametrize("law", [
     lambda n_max: squeezed_vacuum_dist(0.5, n_max),
     lambda n_max: lossy_total_dist_closed(4, 0.5, 0.5, n_max),
     lambda n_max: total_dist_convolution([0.5] * 4, 0.5, n_max),
     lambda n_max: binomial_thinning_matrix(0.5, n_max),
-    lambda n_max: PhotonNumberDist(np.zeros(0), n_max),
     lambda n_max: exact_sample(build_instance(0.3, 2, 1, 1, seed=0), n_max, 1, seed=0),
-], ids=["squeezed_vacuum", "closed", "convolution", "thinning", "dist", "exact_sample"])
+], ids=["squeezed_vacuum", "closed", "convolution", "thinning", "exact_sample"])
+
+
+@pytest.mark.parametrize("n_max", [-1, -2])
+@TRUNCATED_LAWS
 def test_truncation_must_be_non_negative(law, n_max):
     with pytest.raises(ContractViolationError, match="n_max must be >= 0"):
         law(n_max)
+
+
+@pytest.mark.parametrize("n_max", [2.5, True], ids=["fraction", "bool"])
+@TRUNCATED_LAWS
+def test_truncation_must_be_an_integer(law, n_max):
+    # 2.5 used to end in a bare TypeError, and True was read as 1
+    with pytest.raises(ContractViolationError, match="n_max must be an integer"):
+        law(n_max)
+
+
+@pytest.mark.parametrize("law", [
+    lambda: photon_moments(np.full((2, 3), 0.5), 0.5),
+    lambda: total_dist_convolution(np.full((2, 2), 0.5), 0.5, 4),
+], ids=["moments", "convolution"])
+def test_squeezing_must_be_one_number_or_one_dimensional(law):
+    # the 2 x 3 array used to be read as six squeezers
+    with pytest.raises(ContractViolationError, match="one number or a 1-D array"):
+        law()
