@@ -480,17 +480,25 @@ def test_counts_accept_numpy_integers():
     assert len(samples) == 3
 
 
-TRUNCATED_LAWS = pytest.mark.parametrize("law", [
+TRUNCATED_LAW_LIST = [
     lambda n_max: squeezed_vacuum_dist(0.5, n_max),
     lambda n_max: lossy_total_dist_closed(4, 0.5, 0.5, n_max),
     lambda n_max: total_dist_convolution([0.5] * 4, 0.5, n_max),
     lambda n_max: binomial_thinning_matrix(0.5, n_max),
     lambda n_max: exact_sample(build_instance(0.3, 2, 1, 1, seed=0), n_max, 1, seed=0),
-], ids=["squeezed_vacuum", "closed", "convolution", "thinning", "exact_sample"])
+]
+TRUNCATED_IDS = ["squeezed_vacuum", "closed", "convolution", "thinning", "exact_sample"]
+TRUNCATED_LAWS = pytest.mark.parametrize("law", TRUNCATED_LAW_LIST, ids=TRUNCATED_IDS)
+
+
+def _dist_truncated_at(n_max):
+    # a law's n_max is len(log_probs) - 1, so every negative n_max is an empty law
+    return PhotonNumberDist(np.zeros(max(n_max + 1, 0)))
 
 
 @pytest.mark.parametrize("n_max", [-1, -2])
-@TRUNCATED_LAWS
+@pytest.mark.parametrize("law", TRUNCATED_LAW_LIST + [_dist_truncated_at],
+                         ids=TRUNCATED_IDS + ["dist"])
 def test_truncation_must_be_non_negative(law, n_max):
     with pytest.raises(ContractViolationError, match="n_max must be >= 0"):
         law(n_max)
