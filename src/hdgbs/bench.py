@@ -20,8 +20,6 @@ from .logmath import NEG_INF
 from .matrices import random_symmetric
 from .probability import PhotonNumberDist
 
-WINDOW_SECONDS = 0.05     # back-to-back calls per size and round in bench_hafnian
-
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -65,48 +63,26 @@ def model_log_time(n: int) -> float:
     return 3.0 * math.log(n) + (n / 2.0) * math.log(2.0)
 
 
-def _window_fastest(b: np.ndarray, workers: int) -> float:
-    """Fastest of back-to-back ``hafnian_fast`` calls on b over at least
-    WINDOW_SECONDS; a single call when one call is longer. Interference
-    from the host only adds time, so the fastest call is the closest to
-    the kernel's own cost."""
-    times = []
-    end = time.perf_counter() + WINDOW_SECONDS
-    while True:
-        t0 = time.perf_counter()
-        hafnian_fast(b, workers=workers)
-        t1 = time.perf_counter()
-        times.append(t1 - t0)
-        if t1 >= end:
-            return min(times)
-
-
 def bench_hafnian(sizes, reps: int, seed, workers: int = 1) -> list[BenchRecord]:
     """Median wall time of ``hafnian_fast`` on one random complex
     symmetric matrix per size; a single warm-up run per size is discarded.
-
-    The sizes are timed in ``reps`` interleaved rounds, each in its own
-    seeded order, so a slow phase of the host lands on a few timings of
-    many sizes instead of on every timing of the small sizes, which are
-    otherwise all timed within a fraction of a second. A round times a
-    size by the fastest call in a short window of back-to-back calls.
     Timings use the monotonic performance counter."""
     if reps < 1:
         raise ContractViolationError(f"reps must be >= 1, got {reps}")
-    sizes = list(sizes)
-    for n in sizes:
+    records = []
+    for idx, n in enumerate(sizes):
         if n % 2 or n < 2:
             raise ContractViolationError(f"sizes must be positive even, got {n}")
-    mats = [random_symmetric(n, int(seed) + idx) for idx, n in enumerate(sizes)]
-    for b in mats:
+        b = random_symmetric(n, int(seed) + idx)
         hafnian_fast(b, workers=workers)           # warm-up, excluded
-    order = np.random.default_rng(int(seed))
-    times = [[] for _ in sizes]
-    for _ in range(reps):
-        for idx in order.permutation(len(sizes)):
-            times[idx].append(_window_fastest(mats[idx], workers))
-    return [BenchRecord(n=int(n), wall_seconds=float(np.median(t)), reps=reps, threads=workers)
-            for n, t in zip(sizes, times)]
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            hafnian_fast(b, workers=workers)
+            times.append(time.perf_counter() - t0)
+        records.append(BenchRecord(n=int(n), wall_seconds=float(np.median(times)),
+                                   reps=reps, threads=workers))
+    return records
 
 
 def fit_cost_model(records, machine_label: str = "local") -> CostModel:

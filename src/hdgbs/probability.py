@@ -45,10 +45,9 @@ class PhotonNumberDist:
     def __post_init__(self):
         lp = np.asarray(self.log_probs, dtype=float)
         if lp.ndim != 1 or lp.size == 0:
-            # an empty law is one truncated below zero photons
             raise ContractViolationError(
-                f"log_probs must be a non-empty 1-D array, got shape {lp.shape}"
-                + (": n_max must be >= 0" if lp.ndim == 1 else ""))
+                "log_probs must be a non-empty 1-D array (n_max = len - 1 must be >= 0)"
+                f", got shape {lp.shape}")
         if self.eta is not None:
             _check_eta(self.eta)
         if not np.all(lp < math.inf):     # -inf is zero mass; NaN and +inf are not
