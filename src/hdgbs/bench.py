@@ -156,16 +156,15 @@ def sample_time_estimate(dist: PhotonNumberDist, model: CostModel,
         raise ContractViolationError(f"overhead must be finite and >= 1, got {overhead}")
     if not 0.0 < p_min < 1.0:
         raise ContractViolationError(f"p_min must lie in (0, 1), got {p_min}")
-    lp = np.asarray(dist.log_probs)
-    if lp.size == 0 or not np.any(lp > NEG_INF):
+    lp = dist.log_probs
+    if not np.any(lp > NEG_INF):
         raise ContractViolationError("distribution carries no probability mass")
     qualifying = np.nonzero(lp >= math.log(p_min))[0]
     if qualifying.size == 0:
         raise ContractViolationError(f"no count reaches probability {p_min}")
     n_cut = int(qualifying.max())
     ns = np.arange(n_cut + 1)
-    with np.errstate(over="raise"):
-        probs = np.exp(lp[: n_cut + 1])
+    probs = np.exp(lp[: n_cut + 1])
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(np.sum(probs * model.c * ns.astype(float) ** 3 * 2.0 ** (ns / 2.0)))
     seconds = overhead * total

@@ -36,7 +36,9 @@ class GbsInstance:
 
     Every instance, built or loaded, is checked here: a valid lattice of at
     most MODE_LIMIT modes, a finite r >= 0 and exactly the 2 x 2 gates of
-    the delay-line order, whose product must be unitary.
+    the delay-line order, whose product must be unitary. It stores what it
+    checked: Python ints, and each gate at its delay-line (i, j) with a
+    read-only complex copy of its matrix.
     ``unitary`` is the read-only ordered product of the gates; a unitary
     passed in must match it to GATE_PRODUCT_TOL (max-norm) and is dropped.
     """
@@ -50,9 +52,12 @@ class GbsInstance:
     unitary: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        _validate_lattice(self.a, self.dim, self.cycles)
-        _check_mode_limit(self.a, self.dim)
-        object.__setattr__(self, "r", float(_squeezing(self.r)))
+        a, dim, cycles = _validate_lattice(self.a, self.dim, self.cycles)
+        _check_mode_limit(a, dim)
+        for name, value in (("a", a), ("dim", dim), ("cycles", cycles),
+                            ("seed", _integer(self.seed, "seed")),
+                            ("r", float(_squeezing(self.r)))):
+            object.__setattr__(self, name, value)
         m, given = self.modes, self.unitary
         if given is not None and np.shape(given) != (m, m):
             raise ContractViolationError(f"unitary is {np.shape(given)}, expected {m}x{m}")
@@ -61,11 +66,16 @@ class GbsInstance:
             raise ContractViolationError(
                 f"gate list has {len(self.gates)} entries, expected {count}")
         pairs = chain.from_iterable(_layers(self.a, self.dim, self.cycles))
+        gates = []
         for k, (g, pair) in enumerate(zip(self.gates, pairs)):
             if (g.i, g.j) != pair or np.shape(g.v) != (2, 2):
                 raise ContractViolationError(
                     f"gate {k}, a {np.shape(g.v)} matrix on modes ({g.i}, {g.j}), is not "
                     f"the 2 x 2 gate on {m} modes at {pair} of the delay-line order")
+            v = np.array(g.v, dtype=complex)
+            v.setflags(write=False)
+            gates.append(Gate(*pair, v))
+        object.__setattr__(self, "gates", tuple(gates))
         unitary = _gate_product(m, self.gates)
         unitary.setflags(write=False)
         defect = 0.0 if given is None else float(np.max(np.abs(unitary - given)))
@@ -97,14 +107,13 @@ def light_cone_band(a: int, dim: int, cycles: int) -> int:
     toward lower mode indices by a^d per delay-d sweep, so entries with
     column - row > C * sum_d a^d are exactly zero.
     """
-    _validate_lattice(a, dim, cycles)
+    a, dim, cycles = _validate_lattice(a, dim, cycles)
     return cycles * delay_path_length(a, dim)
 
 
-def _validate_lattice(a: int, dim: int, cycles: int) -> None:
-    _integer(a, "lattice size a", 2)
-    _integer(dim, "lattice dimension D", 1)
-    _integer(cycles, "cycle count C", 1)
+def _validate_lattice(a: int, dim: int, cycles: int) -> tuple[int, int, int]:
+    return (_integer(a, "lattice size a", 2), _integer(dim, "lattice dimension D", 1),
+            _integer(cycles, "cycle count C", 1))
 
 
 def _check_mode_limit(a: int, dim: int) -> None:
@@ -135,7 +144,7 @@ def build_instance(r: float, a: int, dim: int, cycles: int, seed: int) -> GbsIns
     """Build an (r, a, D, C) instance: each beam-splitter of the delay-line
     order gets a fresh Haar-random 2 x 2 unitary, drawn in gate order. More
     than MODE_LIMIT modes is refused before any gate is drawn."""
-    _validate_lattice(a, dim, cycles)
+    a, dim, cycles = _validate_lattice(a, dim, cycles)
     _check_mode_limit(a, dim)
     seed = _integer(seed, "seed")
     rng = as_rng(seed)
@@ -214,7 +223,7 @@ def loss_budget_report(a: int, dim: int, cycles: int, budget: LossBudget) -> dic
     """Loss budget with both the exact path length and the large-a
     approximation reported. Path lengths that do not fit a float are
     refused: the transmissions take them as float exponents."""
-    _validate_lattice(a, dim, cycles)
+    a, dim, cycles = _validate_lattice(a, dim, cycles)
     # a >= 2, so the path is at least 2^(D-1): refuse before forming a^D
     if dim > sys.float_info.max_exp:
         raise ResourceLimitError(f"delay path length for a={a}, D={dim} exceeds float range")
@@ -259,10 +268,8 @@ def instance_from_json(obj: dict) -> GbsInstance:
     gates = tuple(Gate(_integer(g["i"], "gate i"), _integer(g["j"], "gate j"),
                        matrix_from_json(g["v"]))
                   for g in obj["gates"])
-    return GbsInstance(r=obj["r"], a=_integer(obj["a"], "a"),
-                       dim=_integer(obj["D"], "D"), cycles=_integer(obj["C"], "C"),
-                       seed=_integer(obj["seed"], "seed"), gates=gates,
-                       unitary=matrix_from_json(obj["unitary"]))
+    return GbsInstance(r=obj["r"], a=obj["a"], dim=obj["D"], cycles=obj["C"],
+                       seed=obj["seed"], gates=gates, unitary=matrix_from_json(obj["unitary"]))
 
 
 def load_instance(path: str) -> GbsInstance:

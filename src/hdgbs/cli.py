@@ -237,7 +237,7 @@ def _read_dist(path: str) -> probability.PhotonNumberDist:
             raise ContractViolationError(
                 f"row {n}: prob {prob} is not exp(log_prob) = {expected!r}")
         log_probs.append(float(lp))
-    return probability.PhotonNumberDist(np.asarray(log_probs))
+    return probability.PhotonNumberDist(log_probs)
 
 
 def _model_to_json(model: bench_mod.CostModel) -> str:

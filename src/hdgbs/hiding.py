@@ -91,22 +91,33 @@ def pooled_singular_values(spec: EnsembleSpec, samples: int, seed) -> np.ndarray
 
 @dataclass(frozen=True)
 class SpectrumHistogram:
-    """Binned, normalized singular-value masses."""
+    """Binned, normalized singular-value masses: non-negative, summing to 1,
+    or all zero for a histogram of no samples. The edges and masses are
+    stored as read-only float copies of the values checked."""
 
     bin_edges: np.ndarray = field(repr=False)
     masses: np.ndarray = field(repr=False)
     sample_count: int
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        masses = np.asarray(self.masses, dtype=float)
-        if edges.ndim != 1 or edges.size != masses.size + 1:
+        edges = np.array(self.bin_edges, dtype=float)
+        masses = np.array(self.masses, dtype=float)
+        count = _integer(self.sample_count, "sample count", 0)
+        if edges.ndim != 1 or masses.ndim != 1 or edges.size != masses.size + 1:
             raise ContractViolationError("need len(edges) == len(masses) + 1")
         if np.any(np.diff(edges) <= 0):
             raise ContractViolationError("bin edges must be strictly increasing")
-        if self.sample_count > 0 and abs(masses.sum() - 1.0) > 1e-12:
+        if not np.all(masses >= 0.0):     # a NaN mass fails too
+            raise ContractViolationError("masses must be non-negative")
+        if count > 0 and abs(masses.sum() - 1.0) > 1e-12:
             raise ContractViolationError(
                 f"masses sum to {masses.sum()}, expected 1")
+        if count == 0 and masses.any():
+            raise ContractViolationError("a histogram of no samples must have zero masses")
+        for name, value in (("bin_edges", edges), ("masses", masses)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "sample_count", count)
 
 
 def histogram_from_values(values: np.ndarray, edges: np.ndarray,
@@ -114,7 +125,7 @@ def histogram_from_values(values: np.ndarray, edges: np.ndarray,
     counts, _ = np.histogram(values, bins=edges)
     total = counts.sum()
     masses = counts / total if total else np.zeros(len(edges) - 1)
-    return SpectrumHistogram(np.asarray(edges, dtype=float), masses, sample_count)
+    return SpectrumHistogram(edges, masses, sample_count)
 
 
 def shared_edges(values_a: np.ndarray, values_b: np.ndarray, bins: int) -> np.ndarray:

@@ -37,13 +37,14 @@ class PhotonNumberDist:
 
     ``eta`` records the transmission when it is known; a law read back
     from a file has none. With ``eta`` 1.0 (lossless) the law may carry no
-    odd-count mass."""
+    odd-count mass. ``log_probs`` is stored as a read-only float copy of
+    the values checked, so the law cannot change after it is checked."""
 
     log_probs: np.ndarray = field(repr=False)
     eta: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        lp = np.asarray(self.log_probs, dtype=float)
+        lp = np.array(self.log_probs, dtype=float)
         if lp.ndim != 1 or lp.size == 0:
             raise ContractViolationError(
                 "log_probs must be a non-empty 1-D array (n_max = len - 1 must be >= 0)"
@@ -52,11 +53,13 @@ class PhotonNumberDist:
             _check_eta(self.eta)
         if not np.all(lp < math.inf):     # -inf is zero mass; NaN and +inf are not
             raise ContractViolationError("log_probs must not hold NaN or +inf")
-        total = float(np.exp(lp[lp > NEG_INF]).sum())
+        total = float(np.exp(lp).sum())
         if total > 1.0 + MASS_SLACK:
             raise ContractViolationError(f"total mass {total} exceeds 1")
         if self.eta == 1.0 and np.any(lp[1::2] > NEG_INF):
             raise ContractViolationError("lossless distribution has odd-count mass")
+        lp.setflags(write=False)
+        object.__setattr__(self, "log_probs", lp)
 
     @property
     def n_max(self) -> int:
@@ -64,8 +67,7 @@ class PhotonNumberDist:
 
     @property
     def probs(self) -> np.ndarray:
-        with np.errstate(over="raise"):
-            return np.exp(self.log_probs)
+        return np.exp(self.log_probs)
 
     @property
     def truncation_deficit(self) -> float:
@@ -205,9 +207,7 @@ def total_dist_convolution(r_vec, eta: float, n_max: int) -> PhotonNumberDist:
     for ri in r:
         key = float(ri)
         if key not in cache:
-            with np.errstate(over="raise"):
-                mode = np.exp(squeezed_vacuum_log_probs(key, n_max))
-            cache[key] = thin @ mode
+            cache[key] = thin @ np.exp(squeezed_vacuum_log_probs(key, n_max))
         total = np.convolve(total, cache[key])[: n_max + 1]
     with np.errstate(divide="ignore"):
         lp = np.log(total)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hdgbs.circuit import (GbsInstance, LossBudget, adjacency, adjacency_general,
+from hdgbs.circuit import (Gate, GbsInstance, LossBudget, adjacency, adjacency_general,
                            build_instance, delay_path_length,
                            expected_gate_count, instance_from_json,
                            instance_to_json, light_cone_band, loss_budget,
@@ -103,6 +103,41 @@ def test_build_rejects_bools_and_fractions_as_counts(args, message):
     # JSON, holding "C": true, instance_from_json refused
     with pytest.raises(ContractViolationError, match=message):
         build_instance(*args)
+
+
+@pytest.mark.parametrize("seed", [2.7, True], ids=["fractional", "bool"])
+def test_instance_rejects_a_non_integer_seed(seed):
+    # such a seed used to be kept and written to JSON, which
+    # instance_from_json then refused
+    inst = build_instance(0.3, 2, 2, 1, seed=7)
+    with pytest.raises(ContractViolationError, match=f"seed must be an integer, got {seed}"):
+        GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, seed, inst.gates)
+
+
+def test_instance_stores_numpy_integers_as_ints():
+    # a numpy integer count or gate index used to be stored as given, and
+    # json.dumps of the instance then raised TypeError
+    inst = build_instance(0.3, 2, 2, 1, seed=7)
+    i64 = np.int64
+    gates = tuple(Gate(i64(g.i), i64(g.j), g.v) for g in inst.gates)
+    again = GbsInstance(inst.r, i64(inst.a), i64(inst.dim), i64(inst.cycles),
+                        i64(inst.seed), gates)
+    assert json.dumps(instance_to_json(again)) == json.dumps(instance_to_json(inst))
+    built = build_instance(0.3, i64(2), i64(2), i64(1), i64(7))
+    assert json.dumps(instance_to_json(built)) == json.dumps(instance_to_json(inst))
+
+
+def test_instance_gate_matrices_are_read_only_copies():
+    # a write to a stored gate matrix used to change the instance after its
+    # unitary was checked, and its JSON was then refused
+    inst = build_instance(0.3, 2, 2, 1, seed=7)
+    given = [list(row) for row in inst.gates[0].v]
+    again = GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed,
+                        (inst.gates[0]._replace(v=given),) + inst.gates[1:])
+    given[0][0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        again.gates[1].v[0, 0] = 5.0
+    assert json.dumps(instance_to_json(again)) == json.dumps(instance_to_json(inst))
 
 
 def test_lattice_helpers_reject_a_bool_count():

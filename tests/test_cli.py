@@ -383,7 +383,7 @@ NON_INTEGER = [
      {"samples": 30, "bins": 10.9, "pairs": [{"M": 25, "N": 3, "K": 25}]},
      "bins must be an integer, got 10.9"),
     ("instance", ["prob", "--instance", "{}", "--pattern", "0,0,0,0"],
-     _instance_obj(a=2.0), "a must be an integer, got 2.0"),
+     _instance_obj(a=2.0), "lattice size a must be an integer, got 2.0"),
     ("matrix", ["haf", "--in", "{}"],
      {"rows": True, "cols": 1, "re": [1.0], "im": [0.0]},
      "rows must be an integer, got True"),

@@ -113,6 +113,28 @@ def test_histogram_type_validation():
         SpectrumHistogram(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.6]), 3)
 
 
+@pytest.mark.parametrize("masses, count, message", [
+    ([1.5, -0.5], 3, "masses must be non-negative"),
+    ([2.0, -1.0], 0, "masses must be non-negative"),
+    ([0.5, 0.5], 0, "no samples must have zero masses"),
+    ([0.5, 0.5], -1, "sample count must be >= 0"),
+    ([[0.5, 0.5]], 2, "need len"),
+], ids=["negative", "negative-unsampled", "unsampled", "negative-count", "2-d-masses"])
+def test_histogram_rejects_negative_or_unsampled_masses(masses, count, message):
+    with pytest.raises(ContractViolationError, match=message):
+        SpectrumHistogram(np.array([0.0, 1.0, 2.0]), np.array(masses), count)
+
+
+def test_histogram_keeps_read_only_arrays():
+    # lists used to be stored as given, and the TV distance then raised
+    # AttributeError on the list's missing shape
+    h = SpectrumHistogram([0, 1, 2], [0.5, 0.5], 2)
+    assert spectra_tv_distance(h, h) == 0.0
+    assert h.bin_edges.dtype == h.masses.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        h.masses[0] = 1.0
+
+
 def test_histogram_masses_normalized():
     vals = np.array([0.1, 0.2, 0.7, 1.5])
     h = histogram_from_values(vals, np.array([0.0, 1.0, 2.0]), 2)

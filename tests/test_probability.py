@@ -214,6 +214,19 @@ def test_dist_type_rejects_empty_or_non_1d_log_probs(log_probs):
         PhotonNumberDist(log_probs)
 
 
+def test_dist_type_keeps_a_read_only_copy_of_its_law():
+    # the law used to be the caller's object, so a write after the check
+    # could give a lossless law odd-count mass and a total mass near 2
+    dist = squeezed_vacuum_dist(0.5, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        dist.log_probs[1] = 0.0
+    given = [math.log(0.6), math.log(0.4)]
+    dist = PhotonNumberDist(given)
+    given[1] = 0.0
+    assert dist.log_probs.dtype == np.float64
+    assert dist.log_probs.tolist() == [math.log(0.6), math.log(0.4)]
+
+
 def test_dist_type_eta_is_keyword_only_and_checked():
     lp = np.log(np.array([0.6, 0.4]))
     with pytest.raises(TypeError):
