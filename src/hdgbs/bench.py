@@ -17,8 +17,16 @@ import numpy as np
 from .errors import ContractViolationError
 from .hafnian import hafnian_fast
 from .logmath import NEG_INF
-from .matrices import random_symmetric
+from .matrices import _integer, random_symmetric
 from .probability import PhotonNumberDist
+
+
+def _size(n) -> int:
+    """A benchmark size as an int once it is an even integer >= 2."""
+    n = _integer(n, "benchmark size", 2)
+    if n % 2:
+        raise ContractViolationError(f"benchmark sizes must be even, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -32,11 +40,9 @@ class BenchRecord:
         if not 0.0 < self.wall_seconds < math.inf:
             raise ContractViolationError(
                 f"wall_seconds must be positive and finite, got {self.wall_seconds}")
-        if self.n % 2 or self.n < 2:
-            raise ContractViolationError(f"benchmark sizes must be positive even, got {self.n}")
-        if self.reps < 1 or self.threads < 1:
-            raise ContractViolationError(
-                f"reps and threads must be >= 1, got {self.reps} and {self.threads}")
+        object.__setattr__(self, "n", _size(self.n))
+        for name in ("reps", "threads"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
 
 
 @dataclass(frozen=True)
@@ -66,13 +72,12 @@ def model_log_time(n: int) -> float:
 def bench_hafnian(sizes, reps: int, seed, workers: int = 1) -> list[BenchRecord]:
     """Median wall time of ``hafnian_fast`` on one random complex
     symmetric matrix per size; a single warm-up run per size is discarded.
-    Timings use the monotonic performance counter."""
-    if reps < 1:
-        raise ContractViolationError(f"reps must be >= 1, got {reps}")
+    Timings use the monotonic performance counter. The counts are checked
+    before anything is timed."""
+    reps = _integer(reps, "reps", 1)
+    sizes = [_size(n) for n in sizes]
     records = []
     for idx, n in enumerate(sizes):
-        if n % 2 or n < 2:
-            raise ContractViolationError(f"sizes must be positive even, got {n}")
         b = random_symmetric(n, int(seed) + idx)
         hafnian_fast(b, workers=workers)           # warm-up, excluded
         times = []
@@ -80,7 +85,7 @@ def bench_hafnian(sizes, reps: int, seed, workers: int = 1) -> list[BenchRecord]
             t0 = time.perf_counter()
             hafnian_fast(b, workers=workers)
             times.append(time.perf_counter() - t0)
-        records.append(BenchRecord(n=int(n), wall_seconds=float(np.median(times)),
+        records.append(BenchRecord(n=n, wall_seconds=float(np.median(times)),
                                    reps=reps, threads=workers))
     return records
 

@@ -179,16 +179,14 @@ class LossBudget:
 
     ``eta_bs`` is the per-beam-splitter energy transmission, ``eta_unit``
     the transmission per unit delay length, and ``eta_recirc`` the
-    recirculation-loop transmission per unit length, required in
-    recirculator mode and rejected in copies mode, which never reads it.
-    ``mode`` selects between building C physical copies of the delay stack
-    and rerouting through a single recirculation loop.
+    recirculation-loop transmission per unit length. Giving ``eta_recirc``
+    selects the single recirculation loop; without it the budget prices C
+    physical copies of the delay stack. ``mode`` names the choice.
     """
 
     eta_bs: float
     eta_unit: float
     eta_recirc: float | None = None
-    mode: str = "copies"
 
     def __post_init__(self):
         for name in ("eta_bs", "eta_unit"):
@@ -198,12 +196,10 @@ class LossBudget:
         if self.eta_recirc is not None and not 0.0 < self.eta_recirc <= 1.0:
             raise ContractViolationError(
                 f"eta_recirc must lie in (0, 1], got {self.eta_recirc}")
-        if self.mode not in ("copies", "recirculator"):
-            raise ContractViolationError(f"unknown loss mode {self.mode!r}")
-        if self.mode == "recirculator" and self.eta_recirc is None:
-            raise ContractViolationError("recirculator mode requires eta_recirc")
-        if self.mode == "copies" and self.eta_recirc is not None:
-            raise ContractViolationError("eta_recirc applies only in recirculator mode")
+
+    @property
+    def mode(self) -> str:
+        return "copies" if self.eta_recirc is None else "recirculator"
 
 
 def loss_budget(a: int, dim: int, cycles: int, budget: LossBudget) -> float:

@@ -142,7 +142,7 @@ def _cmd_instance_new(args) -> None:
 
 def _cmd_instance_lossbudget(args) -> None:
     budget = circuit.LossBudget(eta_bs=args.eta_bs, eta_unit=args.eta_unit,
-                                eta_recirc=args.eta_recirc, mode=args.mode)
+                                eta_recirc=args.eta_recirc)
     report = circuit.loss_budget_report(args.a, args.D, args.C, budget)
     _write(args.out, json.dumps(report) + "\n")
 
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-bs", type=float, required=True)
     p.add_argument("--eta-unit", type=float, required=True)
     p.add_argument("--eta-recirc", type=float, default=None)
-    p.add_argument("--mode", choices=["copies", "recirculator"], default="copies")
     p.set_defaults(func=_cmd_instance_lossbudget)
 
     p = sub.add_parser("photondist", parents=[out],

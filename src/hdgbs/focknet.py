@@ -54,10 +54,6 @@ class FockTensor:
         if len(set(self.labels)) != len(self.labels):
             raise ContractViolationError(f"repeated label within tensor: {self.labels}")
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
 
 class _LabelIndex(NamedTuple):
     """A network's labels as bits, in order of first appearance."""

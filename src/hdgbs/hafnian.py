@@ -46,7 +46,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import ResourceLimitError
-from .matrices import _square, assert_symmetric
+from .matrices import _integer, _square, assert_symmetric
 
 ENUM_LIMIT = 14           # (N-1)!! matchings; 14 -> 135135 terms
 PERMANENT_LIMIT = 16
@@ -205,14 +205,15 @@ def _chunk_sum(flat: np.ndarray, m: int, blocks) -> list:
     return [complex(np.einsum("kb,kb,b->", t, c, sign)) / (2 * m) for t, c in zip(tr, rc)]
 
 
-def hafnian_fast(b: np.ndarray, workers: int | None = None) -> complex | np.ndarray:
+def hafnian_fast(b: np.ndarray, workers: int = 1) -> complex | np.ndarray:
     """Hafnian of a complex symmetric matrix via power traces over
     pair subsets.
 
     Odd sizes return 0, the empty matrix gives 1, and non-symmetric input
-    or a size above FAST_CEILING is rejected. ``workers`` > 1 fans the
-    subset chunks over a thread pool; the reduction order is fixed, so the
-    result does not depend on the worker count.
+    or a size above FAST_CEILING is rejected. ``workers``, an integer
+    >= 1, fans the subset chunks over that many threads; 1 runs serially.
+    The reduction order is fixed, so the result does not depend on the
+    worker count.
 
     ``b`` may also be a stack of shape (..., n, n), as in ``numpy.linalg``;
     the result is then an array of shape (...), and each value equals the
@@ -224,8 +225,8 @@ def hafnian_fast(b: np.ndarray, workers: int | None = None) -> complex | np.ndar
     * rank-one v v^T = (N-1)!! prod(v), N = 20..32: below 1e-12;
     * a block-diagonal matrix of three random 10 x 10 blocks (N = 30),
       against the product of their enumerated Hafnians: 4e-9;
-    * the block identity against Ryser's permanent, N = 24..32: below
-      2e-10;
+    * the block identity against Glynn's ``permanent``, N = 24..32, three
+      complex normal matrices per size: below 4e-10;
     * all-ones = (N-1)!!: below 5e-15 times the cancellation factor (the
       summed magnitude of the signed subset terms over the Hafnian), that
       is 7e-10 at N = 24 and 3.2e-7 at N = 32.
@@ -234,6 +235,7 @@ def hafnian_fast(b: np.ndarray, workers: int | None = None) -> complex | np.ndar
     so the error grows with N and with how much the terms cancel.
     """
     b = _square(b, complex, stack=True)
+    workers = _integer(workers, "workers", 1)
     n = b.shape[-1]
     if n > FAST_CEILING:
         raise ResourceLimitError(f"size {n} exceeds the fast-path ceiling of {FAST_CEILING}")
@@ -243,7 +245,7 @@ def hafnian_fast(b: np.ndarray, workers: int | None = None) -> complex | np.ndar
     return np.array(values, dtype=complex).reshape(b.shape[:-2])
 
 
-def _hafnians(stack: np.ndarray, workers: int | None) -> list:
+def _hafnians(stack: np.ndarray, workers: int) -> list:
     """Hafnians of a (K, n, n) stack, as a list of K complex values."""
     size, n = len(stack), stack.shape[-1]
     if n == 0:
@@ -280,13 +282,13 @@ def _hafnians(stack: np.ndarray, workers: int | None) -> list:
     return [t * c ** m if c else 0.0 + 0.0j for t, c in zip(total, scales)]
 
 
-def _chunk_sums(units, m: int, workers: int | None):
+def _chunk_sums(units, m: int, workers: int):
     """(lo, _chunk_sum(part, m, chunk)) for each (lo, part, chunk) unit, in
     the units' order whatever the worker count, so partial sums are always
     added in canonical chunk order. With threads, at most 2 * workers
     units wait, so the subsets stay streamed rather than all held at once.
     """
-    if workers is None or workers <= 1:
+    if workers == 1:
         for lo, part, chunk in units:
             yield lo, _chunk_sum(part, m, chunk)
         return
@@ -303,25 +305,28 @@ def _chunk_sums(units, m: int, workers: int | None):
 
 
 def permanent(g: np.ndarray) -> complex:
-    """Permanent by Ryser's formula, the sum over column subsets S of
-    (-1)^(n-|S|) prod_i sum_{j in S} g_ij. Row k of ``subsets`` is the 0/1
-    indicator of subset k, so one product ``subsets @ g.T`` gives every
-    subset's row sums; the empty subset alone gives the 0 x 0 permanent, 1.
-    Peak memory is those two 2^n-row arrays, 40.5 MiB (traced) at n = 16.
+    """Permanent by Glynn's formula (Glynn, European J. Combin. 31, 1887
+    (2010)): the mean over sign vectors delta with delta_n = +1 of
+    (prod_j delta_j) prod_i sum_j delta_j g_ij. Row k of ``delta`` has
+    delta_j = -1 where bit j of k is set, and k < 2^(n-1) leaves
+    delta_n = +1; one product ``delta @ g.T`` gives every vector's row
+    sums. There are 2^(n-1) vectors for n >= 1 and one, the empty vector,
+    at n = 0, whose mean is the 0 x 0 permanent, 1. Peak memory is those
+    two 2^(n-1)-row arrays, 20.3 MiB (traced) at n = 16.
 
     Error envelope against Ryser's sum in exact integers (relative error),
-    Gaussian-integer entries a + bi at n = 10..16: below 6.3e-12 with a, b
-    in -9..9; up to 3.6e-10 with a in 1..3 and b in -1..1, whose signed
-    subset terms cancel by up to 7e7 at n = 16. The absolute error stayed
-    below 1e-17 times the summed magnitude of those terms.
+    Gaussian-integer entries a + bi at n = 10..16, 5 matrices per size:
+    below 1.4e-14 with a, b in -9..9 and below 2.4e-14 with a in 1..3 and
+    b in -1..1. Ryser's signed subset terms cancel by up to 7e7 on the
+    latter at n = 16 and cost it up to 6e-10; Glynn's terms do not.
     """
     g = _square(g, complex)
     n = g.shape[0]
     if n > PERMANENT_LIMIT:
         raise ResourceLimitError(f"size {n} exceeds the permanent limit of {PERMANENT_LIMIT}")
-    subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    signs = (-1.0) ** (n - subsets.sum(axis=1))
-    return complex(signs @ np.prod(subsets @ g.T, axis=1))
+    rows = ((1 << n) + 1) >> 1
+    delta = 1.0 - 2.0 * ((np.arange(rows)[:, None] >> np.arange(n)) & 1)
+    return complex(delta.prod(axis=1) @ np.prod(delta @ g.T, axis=1)) / rows
 
 
 def permanent_enum(g: np.ndarray) -> complex:
@@ -344,7 +349,7 @@ def permanent_enum(g: np.ndarray) -> complex:
     return complex(total)
 
 
-def permanent_via_hafnian(g: np.ndarray, workers: int | None = None) -> complex:
+def permanent_via_hafnian(g: np.ndarray) -> complex:
     """Permanent through the block identity Per(G) = Haf([[0, G], [G^T, 0]]).
 
     The 2n x 2n block matrix is symmetric, and the only matchings with a
@@ -356,4 +361,4 @@ def permanent_via_hafnian(g: np.ndarray, workers: int | None = None) -> complex:
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     block[:n, n:] = g
     block[n:, :n] = g.T
-    return hafnian_fast(block, workers=workers)
+    return hafnian_fast(block)

@@ -79,8 +79,7 @@ def pooled_singular_values(spec: EnsembleSpec, samples: int, seed) -> np.ndarray
     """All singular values of ``samples`` independent draws, pooled into
     one flat array. Draws use per-draw child seeds so the pool is stable
     under any parallel evaluation order."""
-    if samples < 0:
-        raise ContractViolationError(f"samples must be >= 0, got {samples}")
+    samples = _integer(samples, "samples", 0)
     if samples == 0:
         return np.empty(0)
     children = _seed_sequence(seed).spawn(samples)
@@ -131,8 +130,7 @@ def histogram_from_values(values: np.ndarray, edges: np.ndarray,
 def shared_edges(values_a: np.ndarray, values_b: np.ndarray, bins: int) -> np.ndarray:
     """Uniform bin edges on [0, max over both pools], treating the two
     ensembles symmetrically."""
-    if bins < 1:
-        raise ContractViolationError(f"bin count must be >= 1, got {bins}")
+    bins = _integer(bins, "bins", 1)
     top = max(float(values_a.max(initial=0.0)), float(values_b.max(initial=0.0)))
     if top <= 0.0:
         top = 1.0
@@ -169,8 +167,7 @@ def split_half_tv(spec: EnsembleSpec, samples: int, bins: int, seed) -> float:
     """Noise floor of the TV estimator: the distance between two halves of
     one ensemble's own sample pool (interleaved split, so with an odd count
     the first half holds one draw more). Needs at least 2 samples."""
-    if samples < 2:
-        raise ContractViolationError(f"split-half TV needs samples >= 2, got {samples}")
+    samples = _integer(samples, "samples", 2)
     draws = pooled_singular_values(spec, samples, seed).reshape(samples, -1)
     first, second = draws[0::2].ravel(), draws[1::2].ravel()
     edges = shared_edges(first, second, bins)
@@ -185,10 +182,7 @@ def hiding_scan(pairs, samples: int, bins: int, seed) -> list[dict]:
     flagged with a warning, since the product ensembles are only expected
     to agree in that regime.
     """
-    if samples < 0:
-        raise ContractViolationError(f"samples must be >= 0, got {samples}")
-    if bins < 1:
-        raise ContractViolationError(f"bin count must be >= 1, got {bins}")
+    samples, bins = _integer(samples, "samples", 0), _integer(bins, "bins", 1)
     rows = []
     pairs = list(pairs)
     if samples == 0 or not pairs:

@@ -39,8 +39,7 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 def ginibre(n: int, k: int, variance: float, seed) -> np.ndarray:
     """n x k matrix of i.i.d. complex normal entries, mean 0, variance
     ``variance`` (real and imaginary parts carry variance/2 each)."""
-    if n < 1 or k < 1:
-        raise ContractViolationError(f"dimensions must be >= 1, got ({n}, {k})")
+    n, k = _integer(n, "n", 1), _integer(k, "k", 1)
     if not 0 < variance < math.inf:       # NaN fails both comparisons
         raise ContractViolationError(
             f"variance must be positive and finite, got {variance}")
@@ -105,14 +104,13 @@ def haar_unitary(m: int, seed) -> np.ndarray:
     R, which makes the distribution exactly Haar rather than merely
     approximately so.
     """
-    if m < 1:
-        raise ContractViolationError(f"dimension must be >= 1, got {m}")
     return haar_isometry(m, m, as_rng(seed))
 
 
 def haar_isometry(m: int, k: int, seed) -> np.ndarray:
     """First k columns of a Haar-random element of U(m), as an m x k
     matrix with orthonormal columns. For k = m this is a Haar unitary."""
+    m, k = _integer(m, "m"), _integer(k, "k")
     if not 1 <= k <= m:
         raise ContractViolationError(f"need 1 <= k <= m, got k={k}, m={m}")
     rng = as_rng(seed)
@@ -142,10 +140,10 @@ def reduce_by_pattern(a: np.ndarray, pattern) -> np.ndarray:
     return a[idx[..., :, None], idx[..., None, :]]
 
 
-def random_symmetric(n: int, seed, scale: float = 1.0) -> np.ndarray:
+def random_symmetric(n: int, seed) -> np.ndarray:
     """Random complex symmetric matrix X + X^T with Ginibre X."""
     rng = as_rng(seed)
-    x = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return x + x.T
 
 

@@ -258,7 +258,7 @@ def most_probable_even(modes: int, r: float) -> int:
 
 
 def outcome_probability(a: np.ndarray, r_vec, pattern,
-                        workers: int | None = None) -> float | np.ndarray:
+                        workers: int = 1) -> float | np.ndarray:
     """Pr(n) = |Haf(A_nn)|^2 / (prod_j n_j! cosh r_j).
 
     ``r_vec`` holds one squeezing parameter per mode. The prefactor is

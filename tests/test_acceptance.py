@@ -266,10 +266,8 @@ def test_criterion_11_loss_budget_properties():
     ok_value = abs(reference - expected) <= 1e-12
     mono_bs = loss_budget(6, 3, 1, LossBudget(eta_bs=0.89, eta_unit=0.998)) < reference
     mono_unit = loss_budget(6, 3, 1, LossBudget(eta_bs=0.9, eta_unit=0.997)) < reference
-    recirc = LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.999,
-                        mode="recirculator")
-    recirc_lo = LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.998,
-                           mode="recirculator")
+    recirc = LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.999)
+    recirc_lo = LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.998)
     mono_recirc = loss_budget(6, 3, 1, recirc_lo) < loss_budget(6, 3, 1, recirc)
     ok = ok_perfect and ok_value and mono_bs and mono_unit and mono_recirc
     assert _report(

@@ -16,7 +16,7 @@ API = {
     "fit_cost_model": ("records", "machine_label"),
     "sample_time_estimate": ("dist", "model", "overhead", "p_min"),
     "GbsInstance": ("r", "a", "dim", "cycles", "seed", "gates", "unitary"),
-    "LossBudget": ("eta_bs", "eta_unit", "eta_recirc", "mode"),
+    "LossBudget": ("eta_bs", "eta_unit", "eta_recirc"),
     "adjacency": ("instance",),
     "adjacency_general": ("u", "r_vec"),
     "build_instance": ("r", "a", "dim", "cycles", "seed"),
@@ -37,7 +37,7 @@ API = {
     "hafnian_fast": ("b", "workers"),
     "permanent": ("g",),
     "permanent_enum": ("g",),
-    "permanent_via_hafnian": ("g", "workers"),
+    "permanent_via_hafnian": ("g",),
     "EnsembleSpec": ("kind", "m", "n", "k"),
     "SpectrumHistogram": ("bin_edges", "masses", "sample_count"),
     "hiding_scan": ("pairs", "samples", "bins", "seed"),

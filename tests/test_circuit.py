@@ -193,18 +193,20 @@ def test_adjacency_general_length_mismatch():
         adjacency_general(np.eye(3), [0.1, 0.2])
 
 
-def test_loss_budget_rejects_eta_recirc_in_copies_mode():
-    # copies mode never reads the loop transmission, so a value there is an error
-    with pytest.raises(ContractViolationError, match="recirculator mode"):
-        LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.5)
-    LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.5, mode="recirculator")
+def test_loss_budget_mode_follows_eta_recirc():
+    # the loop transmission is what selects the recirculator, so no
+    # combination of inputs can contradict the mode
+    assert LossBudget(eta_bs=0.9, eta_unit=0.998).mode == "copies"
+    assert LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.5).mode == "recirculator"
+    report = loss_budget_report(6, 3, 1, LossBudget(eta_bs=0.9, eta_unit=0.998))
+    assert report["mode"] == "copies" and "recirculator_length" not in report
 
 
 def test_loss_budget_refuses_path_lengths_beyond_float_range():
     # the transmissions raise each eta to a path length, which must fit a
     # float; 2^1024 - 1 at (a, D) = (2, 1024) is the first that does not
     copies = LossBudget(eta_bs=0.99, eta_unit=0.999)
-    recirc = LossBudget(eta_bs=0.99, eta_unit=0.999, eta_recirc=0.99, mode="recirculator")
+    recirc = LossBudget(eta_bs=0.99, eta_unit=0.999, eta_recirc=0.99)
     for budget in (copies, recirc):
         for dim in (1024, 2000, 200000):
             with pytest.raises(ResourceLimitError, match="exceeds float range"):
@@ -252,9 +254,9 @@ def test_loss_budget_cycles_square_the_transmission():
 
 
 def test_loss_budget_recirculator():
-    budget = LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.995,
-                        mode="recirculator")
+    budget = LossBudget(eta_bs=0.9, eta_unit=0.998, eta_recirc=0.995)
     report = loss_budget_report(6, 3, 1, budget)
+    assert report["mode"] == "recirculator"
     copies = 0.9 ** 3 * 0.998 ** 43
     loop_len = 216 - 43
     assert report["recirculator_length"] == loop_len
@@ -267,8 +269,6 @@ def test_loss_budget_rejects_bad_transmission():
         LossBudget(eta_bs=0.0, eta_unit=0.9)
     with pytest.raises(ContractViolationError):
         LossBudget(eta_bs=0.9, eta_unit=1.2)
-    with pytest.raises(ContractViolationError):
-        LossBudget(eta_bs=0.9, eta_unit=0.9, mode="recirculator")
 
 
 def test_instance_json_round_trip():

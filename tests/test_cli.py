@@ -55,12 +55,22 @@ def test_haf_fast_and_enum(tmp_path):
 def test_lossbudget_copies(tmp_path):
     out = tmp_path / "b.json"
     assert run(["instance", "lossbudget", "--a", "6", "--D", "3", "--C", "1",
-                "--eta-bs", "0.9", "--eta-unit", "0.998", "--mode", "copies",
-                "--out", str(out)]) == 0
+                "--eta-bs", "0.9", "--eta-unit", "0.998", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["total_transmission"] == pytest.approx(0.9 ** 3 * 0.998 ** 43,
                                                       rel=1e-12)
     assert rep["path_length_exact"] == 43
+
+
+def test_lossbudget_eta_recirc_selects_recirculator(tmp_path):
+    out = tmp_path / "b.json"
+    assert run(["instance", "lossbudget", "--a", "6", "--D", "3", "--C", "1",
+                "--eta-bs", "0.9", "--eta-unit", "0.998", "--eta-recirc", "0.995",
+                "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["mode"] == "recirculator" and rep["recirculator_length"] == 216 - 43
+    assert rep["total_transmission"] == pytest.approx(
+        0.9 ** 3 * 0.998 ** 43 * 0.995 ** (216 - 43), rel=1e-12)
 
 
 def test_photondist_methods_agree(tmp_path):
@@ -279,7 +289,7 @@ FLAGS = {
     "prob": {"--instance", "--pattern", "--threads", "--out"},
     "instance new": {"--r", "--a", "--D", "--C", "--seed", "--out"},
     "instance lossbudget": {"--a", "--D", "--C", "--eta-bs", "--eta-unit",
-                            "--eta-recirc", "--mode", "--out"},
+                            "--eta-recirc", "--out"},
     "photondist": {"--modes", "--r", "--eta", "--nmax", "--method", "--out"},
     "hiding spectra": {"--M", "--K", "--N", "--samples", "--bins", "--seed", "--out"},
     "hiding scan": {"--config", "--seed", "--out"},
@@ -399,16 +409,6 @@ def test_non_integer_integer_field_exits_2(tmp_path, capsys, fmt, argv, obj, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"contract violation: malformed {path}: {message}\n"
-
-
-def test_lossbudget_eta_recirc_in_copies_mode_exits_2(tmp_path, capsys):
-    out = tmp_path / "b.json"
-    assert run(["instance", "lossbudget", "--a", "6", "--D", "3", "--C", "1",
-                "--eta-bs", "0.9", "--eta-unit", "0.998", "--eta-recirc", "0.5",
-                "--out", str(out)]) == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("contract violation: ") and err.count("\n") == 1
 
 
 def test_sample_cost_rejects_prob_column_that_is_not_exp_log_prob(tmp_path, capsys):
@@ -617,7 +617,7 @@ def test_negative_sample_count_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("config, message", [
     ({"samples": -3, "pairs": []}, "samples must be >= 0, got -3"),
     ({"samples": 0, "bins": 0, "pairs": [{"M": 4, "N": 2, "K": 2}]},
-     "bin count must be >= 1, got 0"),
+     "bins must be >= 1, got 0"),
 ], ids=["negative-samples-no-pairs", "zero-bins-zero-samples"])
 def test_hiding_scan_checks_an_empty_or_zero_sample_scan(tmp_path, capsys, config, message):
     # the scan is checked before it returns early with no rows

@@ -1,0 +1,54 @@
+"""Every count a public routine takes goes through ``matrices._integer``: a
+float, a bool or a count below the routine's minimum is a contract
+violation, raised before the benchmark clock is read once."""
+import time
+
+import numpy as np
+import pytest
+
+from hdgbs.bench import BenchRecord, bench_hafnian
+from hdgbs.errors import ContractViolationError
+from hdgbs.hafnian import hafnian_fast
+from hdgbs.hiding import (EnsembleSpec, hiding_scan, pooled_singular_values,
+                          shared_edges, split_half_tv)
+from hdgbs.matrices import ginibre, haar_isometry, haar_unitary
+
+_SPEC = EnsembleSpec("gaussian", m=9, n=2, k=3)
+_PAIRS = [(_SPEC, EnsembleSpec("gaussian_sym", m=9, n=2, k=3))]
+_POOL = np.array([0.2, 0.7])
+_B = np.ones((4, 4))
+
+BAD_COUNTS = {
+    "pooled-float-samples": lambda: pooled_singular_values(_SPEC, 2.0, 0),
+    "split-half-float-samples": lambda: split_half_tv(_SPEC, 3.0, 4, 0),
+    "scan-float-samples": lambda: hiding_scan(_PAIRS, 2.0, 4, 0),
+    "edges-float-bins": lambda: shared_edges(_POOL, _POOL, 2.5),
+    "bench-float-reps": lambda: bench_hafnian([4], 2.5, 0),
+    "bench-float-size": lambda: bench_hafnian([4.0], 1, 0),
+    "ginibre-float-rows": lambda: ginibre(2.5, 2, 1.0, 0),
+    "haar-unitary-float": lambda: haar_unitary(2.5, 0),
+    "haar-unitary-bool": lambda: haar_unitary(True, 0),
+    "haar-isometry-float-columns": lambda: haar_isometry(3, 1.5, 0),
+    "pooled-bool-samples": lambda: pooled_singular_values(_SPEC, True, 0),
+    "edges-bool-bins": lambda: shared_edges(_POOL, _POOL, True),
+    "record-float-reps": lambda: BenchRecord(4, 1.0, 1.5, 1),
+    "hafnian-zero-workers": lambda: hafnian_fast(_B, workers=0),
+    "hafnian-negative-workers": lambda: hafnian_fast(_B, workers=-1),
+    "hafnian-float-workers": lambda: hafnian_fast(_B, workers=2.5),
+    "bench-zero-workers": lambda: bench_hafnian([4], 1, 0, workers=0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_bad_count_is_refused_before_any_timing(monkeypatch, call):
+    reads = []
+    clock = time.perf_counter
+
+    def counted():
+        reads.append(None)
+        return clock()
+
+    monkeypatch.setattr(time, "perf_counter", counted)
+    with pytest.raises(ContractViolationError):
+        call()
+    assert not reads

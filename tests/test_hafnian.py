@@ -417,7 +417,7 @@ def test_hafnian_fast_is_linear_in_one_row_and_column(n, seed, data):
 
 def test_permanent_identity():
     assert permanent(np.eye(3, dtype=complex)) == pytest.approx(1.0)
-    # the 0 x 0 permanent is 1: Ryser's sum is then its empty-subset term alone
+    # the 0 x 0 permanent is 1: Glynn's mean is then over the empty sign vector alone
     assert permanent(np.eye(0)) == 1.0
 
 
@@ -480,13 +480,24 @@ def test_permanent_matches_exact_ryser_on_gaussian_integers(n):
 @pytest.mark.parametrize("n", [10, 13, 16])
 def test_permanent_error_follows_ryser_cancellation(n):
     # entries a + bi with a in 1..3 and b in -1..1, as in the benchmark's
-    # permanent: the terms' summed magnitude is 4.1e4, 1.6e6 and 6.9e7 times
-    # the permanent, so a relative error of 1e-10 is not reached at every n
-    # (9.3e-11 here at n = 16), but the error stays below 7.3e-18 of that sum
+    # permanent: Ryser's terms' summed magnitude is 4.1e4, 1.6e6 and 6.9e7
+    # times the permanent, and a Ryser sum's error stayed below 7.3e-18 of it
+    # (9.3e-11 relative at n = 16); Glynn's is below 2e-21 of it (8.5e-15)
     g_re, g_im = _gaussian_integer_matrix(n, (1, 4), (-1, 2), seed=800 + n)
     exact, magnitude = _exact_ryser(g_re, g_im)
     got = permanent(np.array(g_re) + 1j * np.array(g_im))
     assert abs(got - exact) <= 1e-16 * magnitude
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_permanent_is_accurate_on_positive_mean_entries(n):
+    # the kind of entries of the test above, where Ryser's terms cancel by up
+    # to 7e7; Glynn's do not, and the measured relative errors are 3.1e-16
+    # and 2.5e-15 (Ryser's sum gave 5.3e-12 and 3.9e-10)
+    g_re, g_im = _gaussian_integer_matrix(n, (1, 4), (-1, 2), seed=900 + n)
+    exact, _ = _exact_ryser(g_re, g_im)
+    got = permanent(np.array(g_re) + 1j * np.array(g_im))
+    assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
 def test_permanent_rejects_non_square():

@@ -176,7 +176,7 @@ def test_split_half_tv_labels_each_half_by_its_own_draws():
 @pytest.mark.parametrize("samples", [1, 0, -2])
 def test_split_half_tv_needs_two_samples(samples):
     spec = EnsembleSpec("gaussian", m=9, n=2, k=3)
-    with pytest.raises(ContractViolationError, match=f"samples >= 2, got {samples}"):
+    with pytest.raises(ContractViolationError, match=f"samples must be >= 2, got {samples}"):
         split_half_tv(spec, samples=samples, bins=5, seed=4)
 
 
