@@ -18,7 +18,6 @@ from .errors import ContractViolationError
 from .hafnian import hafnian_fast
 from .logmath import NEG_INF
 from .matrices import _integer, random_symmetric
-from .probability import PhotonNumberDist
 
 
 def _size(n) -> int:
@@ -72,13 +71,14 @@ def model_log_time(n: int) -> float:
 def bench_hafnian(sizes, reps: int, seed, workers: int = 1) -> list[BenchRecord]:
     """Median wall time of ``hafnian_fast`` on one random complex
     symmetric matrix per size; a single warm-up run per size is discarded.
-    Timings use the monotonic performance counter. The counts are checked
-    before anything is timed."""
+    Timings use the monotonic performance counter. The counts and the
+    seed, an integer >= 0, are checked before anything is timed."""
     reps = _integer(reps, "reps", 1)
     sizes = [_size(n) for n in sizes]
+    seed = _integer(seed, "seed", 0)
     records = []
     for idx, n in enumerate(sizes):
-        b = random_symmetric(n, int(seed) + idx)
+        b = random_symmetric(n, seed + idx)
         hafnian_fast(b, workers=workers)           # warm-up, excluded
         times = []
         for _ in range(reps):
@@ -148,9 +148,10 @@ def extrapolate(model: CostModel, rmax_ratio: float,
                      machine_label=label)
 
 
-def sample_time_estimate(dist: PhotonNumberDist, model: CostModel,
+def sample_time_estimate(dist, model: CostModel,
                          overhead: float, p_min: float) -> tuple[float, int]:
-    """Expected seconds to produce one sample.
+    """Expected seconds to produce one sample from the total photon-number
+    distribution ``dist``, a ``probability.PhotonNumberDist``.
 
     n_cut is the largest count with Pr(n) >= p_min; the estimate is
     overhead * sum_{n <= n_cut} Pr(n) * c * n^3 * 2^(n/2). Linear in both

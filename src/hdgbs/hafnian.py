@@ -40,7 +40,6 @@ import functools
 import math
 import operator
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -287,11 +286,13 @@ def _chunk_sums(units, m: int, workers: int):
     the units' order whatever the worker count, so partial sums are always
     added in canonical chunk order. With threads, at most 2 * workers
     units wait, so the subsets stay streamed rather than all held at once.
+    The thread pool's module loads on the first call with workers > 1.
     """
     if workers == 1:
         for lo, part, chunk in units:
             yield lo, _chunk_sum(part, m, chunk)
         return
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for lo, part, chunk in units:

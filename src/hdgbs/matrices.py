@@ -3,8 +3,11 @@ sub-matrices, structural checks and the JSON interchange format.
 
 All sampling is driven by an explicit seed (or a caller-owned
 ``numpy.random.Generator``); there is no module-level random state, so
-identical seeds always reproduce bit-identical matrices.
+identical seeds always reproduce bit-identical matrices. Annotations are
+not evaluated, so ``numpy.random`` loads on the first draw, not on import.
 """
+
+from __future__ import annotations
 
 import math
 
@@ -26,10 +29,13 @@ def as_rng(seed) -> np.random.Generator:
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
     """Accept an integer seed or a SeedSequence and return a SeedSequence,
-    the parent of the nested child seeds that sample lists spawn. A seed
-    numpy refuses, such as a negative one, is a contract violation."""
+    the parent of the nested child seeds that sample lists spawn. A bool,
+    or a seed numpy refuses such as a negative one, is a contract
+    violation."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if isinstance(seed, bool):
+        raise ContractViolationError(f"bad seed {seed!r}: a bool is not a seed")
     try:
         return np.random.SeedSequence(seed)
     except (TypeError, ValueError) as exc:

@@ -1,17 +1,21 @@
 """Every count a public routine takes goes through ``matrices._integer``: a
 float, a bool or a count below the routine's minimum is a contract
-violation, raised before the benchmark clock is read once."""
+violation, raised before the benchmark clock is read once. A seed is an
+integer too: every draw refuses a bool seed rather than reading it as 1."""
 import time
 
 import numpy as np
 import pytest
 
 from hdgbs.bench import BenchRecord, bench_hafnian
+from hdgbs.circuit import build_instance
 from hdgbs.errors import ContractViolationError
+from hdgbs.focknet import build_network, contraction_cost
 from hdgbs.hafnian import hafnian_fast
 from hdgbs.hiding import (EnsembleSpec, hiding_scan, pooled_singular_values,
-                          shared_edges, split_half_tv)
-from hdgbs.matrices import ginibre, haar_isometry, haar_unitary
+                          sample_ensemble, shared_edges, split_half_tv)
+from hdgbs.matrices import as_rng, ginibre, haar_isometry, haar_unitary
+from hdgbs.probability import exact_sample
 
 _SPEC = EnsembleSpec("gaussian", m=9, n=2, k=3)
 _PAIRS = [(_SPEC, EnsembleSpec("gaussian_sym", m=9, n=2, k=3))]
@@ -36,6 +40,23 @@ BAD_COUNTS = {
     "hafnian-negative-workers": lambda: hafnian_fast(_B, workers=-1),
     "hafnian-float-workers": lambda: hafnian_fast(_B, workers=2.5),
     "bench-zero-workers": lambda: bench_hafnian([4], 1, 0, workers=0),
+    "bench-float-seed": lambda: bench_hafnian([4], 1, 2.7),
+    "bench-bool-seed": lambda: bench_hafnian([4], 1, True),
+    "bench-negative-seed": lambda: bench_hafnian([4], 1, -1),
+}
+
+_INSTANCE = build_instance(0.3, 2, 1, 1, 0)
+
+# one call per public entry point that draws from a caller's seed
+BOOL_SEEDS = {
+    "as-rng": as_rng,
+    "ginibre": lambda seed: ginibre(2, 2, 1.0, seed),
+    "haar-unitary": lambda seed: haar_unitary(2, seed),
+    "sample-ensemble": lambda seed: sample_ensemble(_SPEC, seed),
+    "hiding-scan": lambda seed: hiding_scan(_PAIRS, 2, 4, seed),
+    "exact-sample": lambda seed: exact_sample(_INSTANCE, 2, 3, seed),
+    "contraction-cost": lambda seed: contraction_cost(
+        build_network(_INSTANCE, 2, [0, 0]), 1, seed),
 }
 
 
@@ -52,3 +73,18 @@ def test_bad_count_is_refused_before_any_timing(monkeypatch, call):
     with pytest.raises(ContractViolationError):
         call()
     assert not reads
+
+
+@pytest.mark.parametrize("call", BOOL_SEEDS.values(), ids=BOOL_SEEDS.keys())
+def test_bool_seed_is_refused(call):
+    call(1)
+    call(np.int64(1))
+    for seed in (True, False):
+        with pytest.raises(ContractViolationError, match="bool"):
+            call(seed)
+
+
+def test_integer_seeds_draw_as_before():
+    draw = ginibre(3, 2, 1.0, 7)
+    assert np.array_equal(ginibre(3, 2, 1.0, np.int64(7)), draw)
+    assert np.array_equal(ginibre(3, 2, 1.0, np.random.SeedSequence(7)), draw)
