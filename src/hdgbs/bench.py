@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .hafnian import hafnian_fast
 from .logmath import NEG_INF
-from .matrices import _integer, random_symmetric
+from .matrices import _integer, _real, random_symmetric
 
 
 def _size(n) -> int:
@@ -36,12 +36,11 @@ class BenchRecord:
     threads: int
 
     def __post_init__(self):
-        if not 0.0 < self.wall_seconds < math.inf:
-            raise ContractViolationError(
-                f"wall_seconds must be positive and finite, got {self.wall_seconds}")
-        object.__setattr__(self, "n", _size(self.n))
-        for name in ("reps", "threads"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
+        for name, value in (
+                ("wall_seconds", _real(self.wall_seconds, "wall_seconds", 0, math.inf, "()")),
+                ("n", _size(self.n)), ("reps", _integer(self.reps, "reps", 1)),
+                ("threads", _integer(self.threads, "threads", 1))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,11 @@ class CostModel:
     machine_label: str
 
     def __post_init__(self):
-        if not 0.0 < self.c < math.inf:
-            raise ContractViolationError("model constant must be positive" if self.c <= 0
-                                         else f"model constant must be finite, got {self.c}")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ContractViolationError("r_squared must lie in [0, 1]")
+        object.__setattr__(self, "c", _real(self.c, "model constant c", 0, math.inf, "()"))
+        object.__setattr__(self, "r_squared", _real(self.r_squared, "r_squared", 0, 1))
+        if not isinstance(self.machine_label, str):
+            raise ContractViolationError(
+                f"machine_label must be a string, got {self.machine_label!r}")
 
     def seconds(self, n: int) -> float:
         return self.c * n ** 3 * 2.0 ** (n / 2.0)
@@ -140,9 +139,7 @@ def residual_trend_pvalue(residuals) -> float:
 def extrapolate(model: CostModel, rmax_ratio: float,
                 machine_label: str | None = None) -> CostModel:
     """Rescale the machine constant by a ratio of peak FLOP scores."""
-    if not 0.0 < rmax_ratio < math.inf:
-        raise ContractViolationError(
-            f"rmax ratio must be positive and finite, got {rmax_ratio}")
+    rmax_ratio = _real(rmax_ratio, "rmax_ratio", 0, math.inf, "()")
     label = machine_label or f"{model.machine_label}/ratio{rmax_ratio:g}"
     return CostModel(c=model.c / rmax_ratio, r_squared=model.r_squared,
                      machine_label=label)
@@ -158,10 +155,8 @@ def sample_time_estimate(dist, model: CostModel,
     overhead and the machine constant; an estimate beyond float range is
     refused.
     """
-    if not 1.0 <= overhead < math.inf:
-        raise ContractViolationError(f"overhead must be finite and >= 1, got {overhead}")
-    if not 0.0 < p_min < 1.0:
-        raise ContractViolationError(f"p_min must lie in (0, 1), got {p_min}")
+    overhead = _real(overhead, "overhead", 1, math.inf, "[)")
+    p_min = _real(p_min, "p_min", 0, 1, "()")
     lp = dist.log_probs
     if not np.any(lp > NEG_INF):
         raise ContractViolationError("distribution carries no probability mass")

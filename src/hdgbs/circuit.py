@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError
-from .matrices import (_integer, _squeezing, as_rng, assert_unitary, haar_isometry,
+from .matrices import (_integer, _real, _squeezing, as_rng, assert_unitary, haar_isometry,
                        matrix_from_json, matrix_to_json)
 
 MODE_LIMIT = 4096
@@ -39,8 +39,8 @@ class GbsInstance:
     the delay-line order, whose product must be unitary. It stores what it
     checked: Python ints, and each gate at its delay-line (i, j) with a
     read-only complex copy of its matrix.
-    ``unitary`` is the read-only ordered product of the gates; a unitary
-    passed in must match it to GATE_PRODUCT_TOL (max-norm) and is dropped.
+    ``unitary`` is not an argument: it is the read-only ordered product of
+    the gates.
     """
 
     r: float
@@ -49,7 +49,7 @@ class GbsInstance:
     cycles: int
     seed: int
     gates: tuple
-    unitary: np.ndarray | None = field(default=None, repr=False)
+    unitary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a, dim, cycles = _validate_lattice(self.a, self.dim, self.cycles)
@@ -58,9 +58,7 @@ class GbsInstance:
                             ("seed", _integer(self.seed, "seed")),
                             ("r", float(_squeezing(self.r)))):
             object.__setattr__(self, name, value)
-        m, given = self.modes, self.unitary
-        if given is not None and np.shape(given) != (m, m):
-            raise ContractViolationError(f"unitary is {np.shape(given)}, expected {m}x{m}")
+        m = self.modes
         count = expected_gate_count(self.a, self.dim, self.cycles)
         if len(self.gates) != count:
             raise ContractViolationError(
@@ -78,11 +76,6 @@ class GbsInstance:
         object.__setattr__(self, "gates", tuple(gates))
         unitary = _gate_product(m, self.gates)
         unitary.setflags(write=False)
-        defect = 0.0 if given is None else float(np.max(np.abs(unitary - given)))
-        if not defect <= GATE_PRODUCT_TOL:     # a NaN defect fails too
-            raise ContractViolationError(
-                f"unitary differs from the product of the gates by {defect:.3e} "
-                f"(> {GATE_PRODUCT_TOL:.1e})")
         assert_unitary(unitary)
         object.__setattr__(self, "unitary", unitary)
 
@@ -189,13 +182,9 @@ class LossBudget:
     eta_recirc: float | None = None
 
     def __post_init__(self):
-        for name in ("eta_bs", "eta_unit"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ContractViolationError(f"{name} must lie in (0, 1], got {v}")
-        if self.eta_recirc is not None and not 0.0 < self.eta_recirc <= 1.0:
-            raise ContractViolationError(
-                f"eta_recirc must lie in (0, 1], got {self.eta_recirc}")
+        names = ("eta_bs", "eta_unit") + (() if self.eta_recirc is None else ("eta_recirc",))
+        for name in names:
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0, 1, "(]"))
 
     @property
     def mode(self) -> str:
@@ -260,12 +249,23 @@ def instance_to_json(instance: GbsInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> GbsInstance:
-    """Instance from its JSON form, checked by ``GbsInstance``."""
+    """Instance from its JSON form, checked by ``GbsInstance``; the stored
+    unitary must match its gate product to GATE_PRODUCT_TOL (max-norm)."""
     gates = tuple(Gate(_integer(g["i"], "gate i"), _integer(g["j"], "gate j"),
                        matrix_from_json(g["v"]))
                   for g in obj["gates"])
-    return GbsInstance(r=obj["r"], a=obj["a"], dim=obj["D"], cycles=obj["C"],
-                       seed=obj["seed"], gates=gates, unitary=matrix_from_json(obj["unitary"]))
+    given = matrix_from_json(obj["unitary"])
+    inst = GbsInstance(r=obj["r"], a=obj["a"], dim=obj["D"], cycles=obj["C"],
+                       seed=obj["seed"], gates=gates)
+    if given.shape != inst.unitary.shape:
+        m = inst.modes
+        raise ContractViolationError(f"unitary is {given.shape}, expected {m}x{m}")
+    defect = float(np.max(np.abs(inst.unitary - given)))
+    if not defect <= GATE_PRODUCT_TOL:     # a NaN defect fails too
+        raise ContractViolationError(
+            f"unitary differs from the product of the gates by {defect:.3e} "
+            f"(> {GATE_PRODUCT_TOL:.1e})")
+    return inst
 
 
 def load_instance(path: str) -> GbsInstance:

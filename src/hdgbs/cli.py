@@ -247,8 +247,8 @@ def _model_to_json(model: bench_mod.CostModel) -> str:
 
 def _read_model(path: str) -> bench_mod.CostModel:
     obj = _read_json(path)
-    return bench_mod.CostModel(c=float(obj["c"]), r_squared=float(obj["r_squared"]),
-                               machine_label=str(obj["machine_label"]))
+    return bench_mod.CostModel(c=obj["c"], r_squared=obj["r_squared"],
+                               machine_label=obj["machine_label"])
 
 
 def _cmd_bench_fit(args) -> None:

@@ -24,7 +24,6 @@ import functools
 import heapq
 import itertools
 import math
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,17 +31,15 @@ import numpy as np
 
 from .circuit import GbsInstance
 from .errors import ContractViolationError, ResourceLimitError
-from .matrices import _counts, _integer, _seed_sequence, _squeezing, assert_unitary
+from .matrices import _counts, _integer, _real, _seed_sequence, _squeezing, assert_unitary
 
 MEMORY_GUARD_ELEMS = 10 ** 8
-# a wire of mode q after its hop-th gate, as build_network labels it
-_WIRE = re.compile(r"m(\d+)\.\d+")
 
 
 @dataclass(frozen=True)
 class FockTensor:
-    """Dense tensor with one label per index; every axis has the same
-    length only by convention of the builders, not by requirement."""
+    """Dense tensor with one hashable label per index; every axis has the
+    same length only by convention of the builders, not by requirement."""
 
     labels: tuple
     values: np.ndarray = field(repr=False)
@@ -110,7 +107,7 @@ class ContractionPlan:
     max_tensor_elems: float
 
 
-def squeezed_vacuum_tensor(r: float, cutoff: int, label: str = "out") -> FockTensor:
+def squeezed_vacuum_tensor(r: float, cutoff: int, label="out") -> FockTensor:
     """Rank-1 tensor of squeezed-vacuum amplitudes truncated to ``cutoff``
     levels: amp(2k) = (-tanh r)^k sqrt((2k)!) / (2^k k! sqrt(cosh r)),
     zero on odd levels."""
@@ -175,7 +172,7 @@ def beamsplitter_tensor(v: np.ndarray, cutoff: int,
     return FockTensor(tuple(labels), t)
 
 
-def fock_basis_vector(level: int, cutoff: int, label: str) -> FockTensor:
+def fock_basis_vector(level: int, cutoff: int, label) -> FockTensor:
     if not 0 <= level < cutoff:
         raise ContractViolationError(
             f"measured level {level} does not fit under cutoff {cutoff}")
@@ -190,21 +187,17 @@ def build_network(instance: GbsInstance, cutoff: int,
 
     One squeezer tensor per mode, one beam-splitter tensor per gate wired
     in gate order; with a pattern, every output wire is closed by the
-    corresponding photon-count basis vector.
+    corresponding photon-count basis vector. Wires are labelled (q, hop).
     """
     modes = instance.modes
-    wire = [f"m{q}.0" for q in range(modes)]
-    hops = [0] * modes
+    wire = [(q, 0) for q in range(modes)]
     tensors = [squeezed_vacuum_tensor(instance.r, cutoff, wire[q])
                for q in range(modes)]
     for g in instance.gates:
-        new_i = f"m{g.i}.{hops[g.i] + 1}"
-        new_j = f"m{g.j}.{hops[g.j] + 1}"
+        new_i, new_j = (g.i, wire[g.i][1] + 1), (g.j, wire[g.j][1] + 1)
         tensors.append(beamsplitter_tensor(g.v, cutoff,
                                            (new_i, new_j, wire[g.i], wire[g.j])))
         wire[g.i], wire[g.j] = new_i, new_j
-        hops[g.i] += 1
-        hops[g.j] += 1
     if pattern is None:
         return TensorNetwork(tuple(tensors), tuple(wire))
     counts = _counts(pattern, modes)
@@ -374,7 +367,7 @@ def _greedy_path(setup, rng):
 
 def _sweep_order(network: TensorNetwork):
     """Caterpillar plan in mode order, or None for a network with a label
-    other than the ``m{q}.{hop}`` wires ``build_network`` makes.
+    other than the (q, hop) wires ``build_network`` makes.
 
     Tensors are taken by the largest mode they touch, ties broken by
     tensor id, and each is absorbed into one growing tensor. On a banded
@@ -382,13 +375,10 @@ def _sweep_order(network: TensorNetwork):
     """
     keys = []
     for tid, t in enumerate(network.tensors):
-        modes = []
-        for lab in t.labels:
-            wire = _WIRE.fullmatch(lab) if isinstance(lab, str) else None
-            if wire is None:
-                return None
-            modes.append(int(wire[1]))
-        keys.append((max(modes, default=0), tid))
+        if not all(isinstance(lab, tuple) and len(lab) == 2 and isinstance(lab[0], int)
+                   for lab in t.labels):
+            return None
+        keys.append((max((q for q, _ in t.labels), default=0), tid))
     tids = [tid for _, tid in sorted(keys)]
     order = []
     acc = tids[0]
@@ -436,12 +426,11 @@ def contract(network: TensorNetwork, plan: ContractionPlan,
     """Contract the network in the order of ``plan``.
 
     Refuses any step whose output tensor would exceed ``memory_guard``
-    elements, and a guard that is not > 0. Returns the scalar amplitude
-    for closed networks and the final open tensor's values otherwise; with
-    ``count_ops`` the realized multiply-add count is returned alongside.
+    elements (inf: no guard), and a guard outside (0, inf]. Returns the
+    scalar amplitude for closed networks and the final open tensor's values
+    otherwise; with ``count_ops`` the realized multiply-add count too.
     """
-    if not memory_guard > 0:
-        raise ContractViolationError(f"memory guard must be > 0, got {memory_guard}")
+    memory_guard = _real(memory_guard, "memory_guard", 0, math.inf, "(]")
     walk = _Walk(network._index)
     # indexed by tensor id: step k appends its result at T + k
     tensors = [(t.labels, t.values) for t in network.tensors]

@@ -22,7 +22,7 @@ ENSEMBLE_KINDS = ("haar_sub", "gaussian", "coe_sub", "gaussian_sym")
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """One of the four ensembles at parameters (M, N, K).
+    """One of the four ensembles at parameters (M, N, K), stored as ints.
 
     Sub-matrix kinds draw N x K blocks from U(M); Gaussian kinds fix the
     entry variance to 1/M. The symmetric kinds square to N x N products.
@@ -37,8 +37,8 @@ class EnsembleSpec:
         if self.kind not in ENSEMBLE_KINDS:
             raise ContractViolationError(
                 f"unknown ensemble kind {self.kind!r}, expected one of {ENSEMBLE_KINDS}")
-        for value, name in ((self.m, "M"), (self.n, "N"), (self.k, "K")):
-            _integer(value, name)
+        for name in ("m", "n", "k"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name.upper()))
         if not 1 <= self.n <= self.k <= self.m:
             raise ContractViolationError(
                 f"need 1 <= N <= K <= M, got N={self.n}, K={self.k}, M={self.m}")

@@ -1,5 +1,7 @@
 """Dense complex matrix utilities: random ensembles, pattern-indexed
 sub-matrices, structural checks and the JSON interchange format.
+The three intakes of scalar parameters live here too, none of which takes
+a bool: ``_integer`` (counts), ``_real`` (real parameters) and ``_squeezing``.
 
 All sampling is driven by an explicit seed (or a caller-owned
 ``numpy.random.Generator``); there is no module-level random state, so
@@ -10,6 +12,7 @@ not evaluated, so ``numpy.random`` loads on the first draw, not on import.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -46,9 +49,7 @@ def ginibre(n: int, k: int, variance: float, seed) -> np.ndarray:
     """n x k matrix of i.i.d. complex normal entries, mean 0, variance
     ``variance`` (real and imaginary parts carry variance/2 each)."""
     n, k = _integer(n, "n", 1), _integer(k, "k", 1)
-    if not 0 < variance < math.inf:       # NaN fails both comparisons
-        raise ContractViolationError(
-            f"variance must be positive and finite, got {variance}")
+    variance = _real(variance, "variance", 0, math.inf, "()")
     rng = as_rng(seed)
     scale = math.sqrt(variance / 2.0)
     return scale * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
@@ -216,6 +217,23 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ContractViolationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _real(value, name: str, low: float, high: float, ends: str = "[]") -> float:
+    """``value`` as a float once it is a real number (an int or numpy real,
+    not a bool, array or NaN) in the interval from ``low`` to ``high`` with
+    ends "[]", "[)", "(]" or "()": the one check of real parameters."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:               # an int beyond float range
+        x = math.inf if value > 0 else -math.inf
+    if not ((low < x if ends[0] == "(" else low <= x)     # NaN fails both
+            and (x < high if ends[1] == ")" else x <= high)):
+        raise ContractViolationError(
+            f"{name} must be a real number in {ends[0]}{low:g}, {high:g}{ends[1]}, "
+            f"got {value!r}")
+    return x
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

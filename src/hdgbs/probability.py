@@ -23,7 +23,7 @@ from .circuit import GbsInstance, adjacency
 from .errors import ContractViolationError, ResourceLimitError
 from .hafnian import FAST_CEILING, hafnian_fast
 from .logmath import NEG_INF, log_binomial, log_factorial, log_hyp2f1
-from .matrices import (_counts, _integer, _square, _squeezing, as_rng,
+from .matrices import (_counts, _integer, _real, _square, _squeezing, as_rng,
                        reduce_by_pattern)
 
 MASS_SLACK = 1e-9
@@ -37,8 +37,8 @@ class PhotonNumberDist:
 
     ``eta`` records the transmission when it is known; a law read back
     from a file has none. With ``eta`` 1.0 (lossless) the law may carry no
-    odd-count mass. ``log_probs`` is stored as a read-only float copy of
-    the values checked, so the law cannot change after it is checked."""
+    odd-count mass. ``log_probs`` and ``eta`` are stored as the float copies
+    checked, read-only for the array, so the law cannot change."""
 
     log_probs: np.ndarray = field(repr=False)
     eta: float | None = field(default=None, kw_only=True)
@@ -50,7 +50,7 @@ class PhotonNumberDist:
                 "log_probs must be a non-empty 1-D array (n_max = len - 1 must be >= 0)"
                 f", got shape {lp.shape}")
         if self.eta is not None:
-            _check_eta(self.eta)
+            object.__setattr__(self, "eta", _real(self.eta, "transmission eta", 0, 1))
         if not np.all(lp < math.inf):     # -inf is zero mass; NaN and +inf are not
             raise ContractViolationError("log_probs must not hold NaN or +inf")
         total = float(np.exp(lp).sum())
@@ -113,11 +113,6 @@ def squeezed_vacuum_dist(r: float, n_max: int) -> PhotonNumberDist:
     return PhotonNumberDist(squeezed_vacuum_log_probs(r, n_max), eta=1.0)
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise ContractViolationError(f"transmission must lie in [0, 1], got {eta}")
-
-
 def lossy_total_dist_closed(modes: int, r: float, eta: float,
                             n_max: int) -> PhotonNumberDist:
     """Closed-form total photon-number distribution of M identical
@@ -136,12 +131,12 @@ def lossy_total_dist_closed(modes: int, r: float, eta: float,
     """
     modes = _integer(modes, "mode count", 1)
     _squeezing(r)
-    _check_eta(eta)
+    eta = _real(eta, "transmission eta", 0, 1)
     n_max = _integer(n_max, "truncation n_max", 0)
     lp = np.full(n_max + 1, NEG_INF)
     if r == 0.0 or eta == 0.0:
         lp[0] = 0.0
-        return PhotonNumberDist(lp, eta=float(eta))
+        return PhotonNumberDist(lp, eta=eta)
     log_tanh = math.log(math.tanh(r))
     log_sech_m = -modes * math.log(math.cosh(r))
     log_eta = math.log(eta)
@@ -157,13 +152,13 @@ def lossy_total_dist_closed(modes: int, r: float, eta: float,
                      + log_binomial((modes + n - 1) / 2, (n + 1) / 2)
                      + log_sech_m + (n + 1) * log_tanh
                      + log_hyp2f1((n + 2) / 2, (modes + n + 1) / 2, 1.5, z))
-    return PhotonNumberDist(lp, eta=float(eta))
+    return PhotonNumberDist(lp, eta=eta)
 
 
 def binomial_thinning_matrix(eta: float, n_max: int) -> np.ndarray:
     """L[k, n] = C(n, k) eta^k (1-eta)^(n-k): the action of uniform photon
     loss on a count distribution (columns sum to 1)."""
-    _check_eta(eta)
+    eta = _real(eta, "transmission eta", 0, 1)
     n_max = _integer(n_max, "truncation n_max", 0)
     size = n_max + 1
     if eta == 1.0:
@@ -192,7 +187,7 @@ def total_dist_convolution(r_vec, eta: float, n_max: int) -> PhotonNumberDist:
     r = np.atleast_1d(_squeezing(r_vec))
     if r.size == 0:
         raise ContractViolationError("r_vec must contain at least one mode")
-    _check_eta(eta)
+    eta = _real(eta, "transmission eta", 0, 1)
     n_max = _integer(n_max, "truncation n_max", 0)
     # eta = 0 maps every count to zero regardless of the pre-thinning tail,
     # so short-circuit to the exact point mass
@@ -211,7 +206,7 @@ def total_dist_convolution(r_vec, eta: float, n_max: int) -> PhotonNumberDist:
         total = np.convolve(total, cache[key])[: n_max + 1]
     with np.errstate(divide="ignore"):
         lp = np.log(total)
-    return PhotonNumberDist(lp, eta=float(eta))
+    return PhotonNumberDist(lp, eta=eta)
 
 
 def photon_moments(r, eta: float, modes: int | None = None) -> tuple[float, float]:
@@ -223,7 +218,7 @@ def photon_moments(r, eta: float, modes: int | None = None) -> tuple[float, floa
     which stays polynomial-time for non-uniform inputs; a ``modes`` given
     with it must equal its length.
     """
-    _check_eta(eta)
+    eta = _real(eta, "transmission eta", 0, 1)
     r_arr = _squeezing(r)
     if modes is not None:
         modes = _integer(modes, "mode count", 1)

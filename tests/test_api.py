@@ -15,7 +15,7 @@ API = {
     "extrapolate": ("model", "rmax_ratio", "machine_label"),
     "fit_cost_model": ("records", "machine_label"),
     "sample_time_estimate": ("dist", "model", "overhead", "p_min"),
-    "GbsInstance": ("r", "a", "dim", "cycles", "seed", "gates", "unitary"),
+    "GbsInstance": ("r", "a", "dim", "cycles", "seed", "gates"),
     "LossBudget": ("eta_bs", "eta_unit", "eta_recirc"),
     "adjacency": ("instance",),
     "adjacency_general": ("u", "r_vec"),

@@ -331,9 +331,12 @@ def test_instance_forms_its_unitary_from_the_gates():
     again = GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, inst.gates)
     assert again.unitary.tobytes() == inst.unitary.tobytes()
     assert not again.unitary.flags.writeable
-    given = inst.unitary + 1e-12
-    kept = GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, inst.gates,
-                       unitary=given)
+    with pytest.raises(TypeError):      # the unitary is computed, never passed in
+        GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, inst.gates,
+                    unitary=inst.unitary)
+    obj = instance_to_json(inst)
+    obj["unitary"] = matrix_to_json(inst.unitary + 1e-12)
+    kept = instance_from_json(obj)
     assert kept.unitary.tobytes() == inst.unitary.tobytes()     # the copy is dropped
 
 
@@ -351,14 +354,17 @@ def test_instance_rejects_gates_off_the_delay_line_order(change, message):
 
 
 @pytest.mark.parametrize("unitary, message", [
-    (np.full((4, 4), np.nan), "product of the gates"),
-    (np.eye(5), "expected 4x4"),
-], ids=["NaN", "wrong-shape"])
+    (lambda u: np.full((4, 4), np.nan), "matrix entries must be finite"),
+    (lambda u: np.eye(5), "expected 4x4"),
+    (lambda u: u + 1e-9, "product of the gates"),
+], ids=["NaN", "wrong-shape", "past-tolerance"])
 def test_instance_rejects_a_unitary_that_is_not_the_gate_product(unitary, message):
+    # only a file stores a unitary; it must be the gate product
     inst = build_instance(0.3, 2, 2, 1, seed=7)
+    obj = instance_to_json(inst)
+    obj["unitary"] = matrix_to_json(unitary(inst.unitary))
     with pytest.raises(ContractViolationError, match=message):
-        GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, inst.gates,
-                    unitary=unitary)
+        instance_from_json(obj)
 
 
 def test_instance_rejects_gates_whose_product_is_not_unitary():

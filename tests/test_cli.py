@@ -336,8 +336,8 @@ def test_sample_cost_model_and_c_exclude_each_other(tmp_path, capsys):
 def test_sample_cost_zero_constant_is_named(tmp_path, capsys):
     assert run(["bench", "sample-cost", "--dist", str(_dist_csv(tmp_path)),
                 "--c", "0"]) == 2
-    assert capsys.readouterr().err == ("contract violation: "
-                                       "model constant must be positive\n")
+    assert capsys.readouterr().err == ("contract violation: model constant c must be "
+                                       "a real number in (0, inf), got 0.0\n")
 
 
 def _instance_obj(**changes):
@@ -355,12 +355,16 @@ DIST_ROWS = "n,prob,log_prob\n0,0.5,-0.6931471805599453\n"
 BENCH_ROWS = "n,wall_seconds,reps,threads\n14,0.001,1,1\n"
 
 # (input format, command with the file as {}, missing-field content,
-# wrong-type content)
+# wrong-type content or a tuple of them)
 MALFORMED = [
     ("scan config", ["hiding", "scan", "--config", "{}"],
      json.dumps({"samples": 10}), json.dumps({"pairs": [[25, 3, 25]]})),
     ("model", ["bench", "extrapolate", "--model", "{}", "--rmax-ratio", "2"],
-     json.dumps(_without(MODEL, "r_squared")), json.dumps({**MODEL, "c": "fast"})),
+     json.dumps(_without(MODEL, "r_squared")),
+     (json.dumps({**MODEL, "c": "fast"}),
+      json.dumps({"c": True, "r_squared": True, "machine_label": 5}),
+      json.dumps({**MODEL, "r_squared": True}), json.dumps({**MODEL, "machine_label": 5}),
+      json.dumps({**MODEL, "c": 10 ** 400}))),
     ("matrix", ["haf", "--in", "{}"],
      json.dumps({"rows": 2, "cols": 2, "re": [0, 1, 1, 0]}), json.dumps([1, 2])),
     ("instance", ["prob", "--instance", "{}", "--pattern", "0,0,0,0"],
@@ -378,12 +382,14 @@ MALFORMED = [
 def test_malformed_input_file_exits_2(tmp_path, capsys, fmt, argv, missing, wrong,
                                       fault):
     path = tmp_path / "input"
-    path.write_text(missing if fault == "missing field" else wrong)
-    assert run([str(path) if a == "{}" else a for a in argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"contract violation: malformed {path}: ")
-    assert captured.err.count("\n") == 1
+    contents = missing if fault == "missing field" else wrong
+    for content in (contents,) if isinstance(contents, str) else contents:
+        path.write_text(content)
+        assert run([str(path) if a == "{}" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"contract violation: malformed {path}: ")
+        assert captured.err.count("\n") == 1
 
 
 # A JSON integer field holding a float or a bool used to be truncated by

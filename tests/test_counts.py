@@ -88,3 +88,11 @@ def test_integer_seeds_draw_as_before():
     draw = ginibre(3, 2, 1.0, 7)
     assert np.array_equal(ginibre(3, 2, 1.0, np.int64(7)), draw)
     assert np.array_equal(ginibre(3, 2, 1.0, np.random.SeedSequence(7)), draw)
+
+
+def test_ensemble_spec_stores_the_ints_it_checked():
+    spec = EnsembleSpec("gaussian", np.int64(200), np.int64(10), np.int64(20))
+    assert [(type(v), v) for v in (spec.m, spec.n, spec.k)] == [(int, 200), (int, 10),
+                                                                (int, 20)]
+    with pytest.raises(ContractViolationError, match="M must be an integer, got True"):
+        EnsembleSpec("gaussian", True, 1, 1)

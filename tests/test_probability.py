@@ -231,7 +231,8 @@ def test_dist_type_eta_is_keyword_only_and_checked():
     lp = np.log(np.array([0.6, 0.4]))
     with pytest.raises(TypeError):
         PhotonNumberDist(lp, 1)         # the old positional n_max is not an eta
-    with pytest.raises(ContractViolationError, match="transmission must lie in"):
+    with pytest.raises(ContractViolationError,
+                       match=r"transmission eta must be a real number in \[0, 1\]"):
         PhotonNumberDist(lp, eta=5.0)
     assert PhotonNumberDist(lp, eta=0.5).n_max == 1
 
