@@ -9,6 +9,7 @@ the total photon-number distribution up to a probability cutoff.
 """
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -138,11 +139,17 @@ def residual_trend_pvalue(residuals) -> float:
 
 def extrapolate(model: CostModel, rmax_ratio: float,
                 machine_label: str | None = None) -> CostModel:
-    """Rescale the machine constant by a ratio of peak FLOP scores."""
+    """Rescale the machine constant by a ratio of peak FLOP scores. A ratio
+    that takes c past float range, or below the smallest normal float, is
+    refused."""
     rmax_ratio = _real(rmax_ratio, "rmax_ratio", 0, math.inf, "()")
+    c = model.c / rmax_ratio
+    if not sys.float_info.min <= c < math.inf:
+        raise ContractViolationError(
+            f"rmax_ratio {rmax_ratio:g} takes the model constant c = {model.c:g} "
+            f"to {c:g}, outside the normal float range")
     label = machine_label or f"{model.machine_label}/ratio{rmax_ratio:g}"
-    return CostModel(c=model.c / rmax_ratio, r_squared=model.r_squared,
-                     machine_label=label)
+    return CostModel(c=c, r_squared=model.r_squared, machine_label=label)
 
 
 def sample_time_estimate(dist, model: CostModel,

@@ -30,7 +30,7 @@ class Gate(NamedTuple):
     v: np.ndarray     # 2 x 2 unitary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GbsInstance:
     """An (r, a, D, C) instance: parameters, gates and unitary.
 

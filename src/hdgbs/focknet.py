@@ -36,7 +36,7 @@ from .matrices import _counts, _integer, _real, _seed_sequence, _squeezing, asse
 MEMORY_GUARD_ELEMS = 10 ** 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockTensor:
     """Dense tensor with one hashable label per index; every axis has the
     same length only by convention of the builders, not by requirement."""
@@ -60,11 +60,11 @@ class _LabelIndex(NamedTuple):
     size: object      # element count of a label mask, see _size_rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorNetwork:
     tensors: tuple
     open_labels: tuple
-    _index: _LabelIndex = field(init=False, repr=False, compare=False)
+    _index: _LabelIndex = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.tensors:

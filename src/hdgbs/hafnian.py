@@ -20,9 +20,8 @@ The subsets are enumerated in a fixed canonical order (by size, then
 lexicographic) and their partial sums are reduced chunk by chunk in that
 order, so results are bit-identical whether run serially or on a thread
 pool. A chunk is a list of blocks of gather offsets, one block per run
-of same-size subsets, and a block's width gives its subsets' sign. When
-every subset fits one chunk (N <= 18), that chunk is built once per size
-and reused by later calls.
+of same-size subsets, and a block's width gives its subsets' sign. The
+chunks are built afresh by every call; no state is kept between calls.
 
 ``hafnian_fast`` also takes a stack of matrices, shape (..., N, N), as
 ``numpy.linalg`` does. Up to about ``_STACK`` entries of subset blocks,
@@ -36,7 +35,6 @@ reduction runs per matrix, on that block, so each value equals the one
 the matrix gives alone, bit for bit; a single matrix is the stack of one.
 """
 
-import functools
 import math
 import operator
 from collections import deque
@@ -118,33 +116,6 @@ def _subset_chunks(m: int):
     yield chunk
 
 
-@functools.cache
-def _one_chunk_plan(m: int) -> tuple:
-    """The blocks of every subset when all of them fit one chunk.
-
-    They depend only on m, so they are built once per m and reused; at
-    N <= 18 enumerating the subsets and building their offsets would
-    otherwise be 15-30% of each call. Only m <= 9 reaches here, so the
-    cache holds at most 9 plans, and their arrays are read-only because
-    every caller shares them. Larger m streams its chunks.
-    """
-    (chunk,) = _subset_chunks(m)
-    for offsets in chunk:
-        offsets.setflags(write=False)
-    return tuple(chunk)
-
-
-def _plan(m: int):
-    """The chunks of ``_subset_chunks(m)``, in canonical order. The (2s)^2
-    entries of all 2^m - 1 subsets add up to m (m + 1) 2^m, which fits one
-    chunk for m <= 9; that chunk comes from the cache, and larger m streams
-    its chunks."""
-    if m * (m + 1) * 2 ** m <= _STACK:
-        yield _one_chunk_plan(m)
-    else:
-        yield from _subset_chunks(m)
-
-
 def _power_traces(flat: np.ndarray, m: int, offsets: np.ndarray,
                   out: np.ndarray) -> None:
     """out[i, k-1, c] = tr((X B_S)^k) for k = 1..m, matrix i of ``flat`` and
@@ -171,11 +142,11 @@ def _power_traces(flat: np.ndarray, m: int, offsets: np.ndarray,
 
 
 def _chunk_sum(flat: np.ndarray, m: int, blocks) -> list:
-    """Signed sums of [x^m] det(I - x X B_S)^(-1/2) over one chunk of subsets,
-    given as blocks of gather offsets by ``_plan``, one sum per matrix of
-    ``flat`` (K rescaled 2m x 2m matrices, one raveled matrix per row), with
-    det(I - x A)^(-1/2) = exp(sum_k tr(A^k) x^k / (2k)). A block of width
-    2s holds subsets of s pairs, whose sign is (-1)^(m-s).
+    """Signed sums of [x^m] det(I - x X B_S)^(-1/2) over one chunk of subsets
+    from ``_subset_chunks``, given as blocks of gather offsets, one sum per
+    matrix of ``flat`` (K rescaled 2m x 2m matrices, one raveled matrix per
+    row), with det(I - x A)^(-1/2) = exp(sum_k tr(A^k) x^k / (2k)). A block
+    of width 2s holds subsets of s pairs, whose sign is (-1)^(m-s).
 
     The K matrices share every numpy call up to the last. The traces and
     coefficients are laid out (matrix, power, subset), and each block fills
@@ -216,7 +187,9 @@ def hafnian_fast(b: np.ndarray, workers: int = 1) -> complex | np.ndarray:
 
     ``b`` may also be a stack of shape (..., n, n), as in ``numpy.linalg``;
     the result is then an array of shape (...), and each value equals the
-    one the matrix gives alone, bit for bit.
+    one the matrix gives alone, bit for bit. Every call builds its subset
+    offsets afresh, about a third of a lone call's time at N <= 8, so many
+    small matrices belong in one stack rather than in separate calls.
 
     Error envelope, measured against exact references (relative error):
 
@@ -252,10 +225,11 @@ def _hafnians(stack: np.ndarray, workers: int) -> list:
     if n % 2:
         return [0.0 + 0.0j] * size
     m = n // 2
-    # matrices are grouped so that a group's one-chunk plan stays near
-    # _STACK entries; from m = 10 on, chunks are full and a group is one
-    # matrix. Checks, rescale and sums run group by group, so no temporary
-    # spans the whole stack.
+    # the (2s)^2 entries of all 2^m - 1 subsets add up to m (m + 1) 2^m,
+    # which fits one chunk up to m = 9; matrices are grouped so that a
+    # group's gathered subsets stay near _STACK entries, and from m = 10 on
+    # a group is one matrix. Checks, rescale and sums run group by group,
+    # so no temporary spans the whole stack.
     group = max(1, _STACK // (m * (m + 1) << m))
     scales = []
 
@@ -266,12 +240,11 @@ def _hafnians(stack: np.ndarray, workers: int) -> list:
             # rescale, which keeps the power sums well inside double range;
             # Haf(cB) = c^(n/2) Haf(B) restores the scale afterwards
             scale = assert_symmetric(part)
-            part_scales = scale.tolist()
-            scales.extend(part_scales)
-            if 0.0 in part_scales:    # a zero matrix stays zero, Hafnian 0
-                scale = np.where(scale > 0.0, scale, 1.0)
+            scales.extend(scale.tolist())
+            # a zero matrix is divided by 1 and stays zero, Hafnian 0
+            scale = np.where(scale > 0.0, scale, 1.0)
             flat = (part / scale.reshape(-1, 1, 1)).reshape(len(part), -1)
-            for chunk in _plan(m):
+            for chunk in _subset_chunks(m):
                 yield lo, flat, chunk
 
     total = [0.0 + 0.0j] * size

@@ -88,7 +88,7 @@ def pooled_singular_values(spec: EnsembleSpec, samples: int, seed) -> np.ndarray
     return np.concatenate(vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumHistogram:
     """Binned, normalized singular-value masses: non-negative, summing to 1,
     or all zero for a histogram of no samples. The edges and masses are

@@ -30,7 +30,7 @@ MASS_SLACK = 1e-9
 PATTERN_BUDGET = 10 ** 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhotonNumberDist:
     """Probability mass over the total photon count 0..n_max, in log space,
     with n_max = len(log_probs) - 1.

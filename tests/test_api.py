@@ -1,9 +1,14 @@
 """The public API surface: every name in ``hdgbs.__all__`` and the parameter
 names of each public callable. A change that adds, removes or renames a
-name or an option must change this table in the same diff."""
+name or an option must change this table in the same diff. Value types
+that hold arrays compare and hash by identity."""
 import inspect
 
+import numpy as np
+import pytest
+
 import hdgbs
+from hdgbs.hiding import histogram_from_values
 from hdgbs.logmath import log_hyp2f1
 from hdgbs.matrices import assert_symmetric, assert_unitary
 
@@ -81,3 +86,23 @@ def test_public_api_is_pinned():
 
 def test_helper_parameters_are_pinned():
     assert {fn: _parameters(fn) for fn in HELPERS} == HELPERS
+
+
+# value types that hold numpy arrays: the generated __eq__ would compare the
+# arrays and raise on their truth value, so equality and hashing go by identity
+ARRAY_VALUES = {
+    "PhotonNumberDist": lambda: hdgbs.squeezed_vacuum_dist(0.5, 4),
+    "GbsInstance": lambda: hdgbs.build_instance(0.3, 2, 2, 1, 7),
+    "SpectrumHistogram": lambda: histogram_from_values(
+        np.array([0.2, 0.7]), np.linspace(0.0, 1.0, 3), 1),
+    "FockTensor": lambda: hdgbs.squeezed_vacuum_tensor(0.5, 3),
+    "TensorNetwork": lambda: hdgbs.build_network(hdgbs.build_instance(0.3, 2, 1, 1, 0), 2, [0, 0]),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_VALUES.values(), ids=ARRAY_VALUES.keys())
+def test_array_values_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True
+    assert len({a, b, a}) == 2

@@ -84,6 +84,16 @@ def test_extrapolate_monotone():
         extrapolate(model, 0.0)
 
 
+@pytest.mark.parametrize("ratio, c", [(1e-320, "inf"), (1e300, "1e-309")])
+def test_extrapolate_refuses_a_ratio_that_takes_c_out_of_normal_range(ratio, c):
+    # an overflow to inf, or an underflow to a subnormal c, is named by the
+    # ratio that caused it and the model's own constant
+    model = CostModel(c=1e-9, r_squared=0.9, machine_label="x")
+    with pytest.raises(ContractViolationError,
+                       match=rf"rmax_ratio .* model constant c = 1e-09 to {c},"):
+        extrapolate(model, ratio)
+
+
 def _point_mass_at_zero():
     lp = np.array([0.0, NEG_INF, NEG_INF])
     return PhotonNumberDist(lp, eta=1.0)

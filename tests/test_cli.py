@@ -542,6 +542,8 @@ NON_FINITE_BENCH = {
                           "--rmax-ratio", "2"],
     "extrapolate-nan-ratio": ["bench", "extrapolate", "--model", "{model.json}",
                               "--rmax-ratio", "nan"],
+    "extrapolate-c-overflow": ["bench", "extrapolate", "--model", "{model.json}",
+                               "--rmax-ratio", "1e-320"],
     "sample-cost-nan-c": ["bench", "sample-cost", "--dist", "{dist.csv}", "--c", "nan"],
     "sample-cost-inf-overhead": ["bench", "sample-cost", "--dist", "{dist.csv}",
                                  "--c", "1e-12", "--overhead", "inf"],

@@ -14,7 +14,7 @@ from hdgbs.focknet import build_network, contraction_cost
 from hdgbs.hafnian import hafnian_fast
 from hdgbs.hiding import (EnsembleSpec, hiding_scan, pooled_singular_values,
                           sample_ensemble, shared_edges, split_half_tv)
-from hdgbs.matrices import as_rng, ginibre, haar_isometry, haar_unitary
+from hdgbs.matrices import as_rng, ginibre, haar_isometry, haar_unitary, random_symmetric
 from hdgbs.probability import exact_sample
 
 _SPEC = EnsembleSpec("gaussian", m=9, n=2, k=3)
@@ -33,6 +33,9 @@ BAD_COUNTS = {
     "haar-unitary-float": lambda: haar_unitary(2.5, 0),
     "haar-unitary-bool": lambda: haar_unitary(True, 0),
     "haar-isometry-float-columns": lambda: haar_isometry(3, 1.5, 0),
+    "random-symmetric-float": lambda: random_symmetric(2.5, 0),
+    "random-symmetric-bool": lambda: random_symmetric(True, 0),
+    "random-symmetric-negative": lambda: random_symmetric(-1, 0),
     "pooled-bool-samples": lambda: pooled_singular_values(_SPEC, True, 0),
     "edges-bool-bins": lambda: shared_edges(_POOL, _POOL, True),
     "record-float-reps": lambda: BenchRecord(4, 1.0, 1.5, 1),

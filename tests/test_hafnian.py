@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hdgbs import hafnian as hafnian_module
 from hdgbs.errors import ContractViolationError, ResourceLimitError
-from hdgbs.hafnian import (_STACK, _plan, _power_traces, _subset_chunks, hafnian_enum,
+from hdgbs.hafnian import (_STACK, _power_traces, _subset_chunks, hafnian_enum,
                            hafnian_fast, permanent, permanent_enum, permanent_via_hafnian)
 from hdgbs.matrices import random_symmetric, reduce_by_pattern
 
@@ -120,15 +120,16 @@ def test_subset_chunks_list_every_subset_once_in_canonical_order(m):
     assert len(subsets) == 2 ** m - 1
 
 
-def test_only_one_chunk_plans_are_cached():
-    # the (2s)^2 entries of all subsets add up to m (m + 1) 2^m, and a plan
-    # is kept across calls exactly when that fits one chunk
+def test_subsets_fit_one_chunk_exactly_when_their_entries_fit_the_stack():
+    # the (2s)^2 entries of all subsets add up to m (m + 1) 2^m; _hafnians
+    # sizes its groups of matrices on that sum, which is one chunk exactly
+    # when it fits _STACK (up to m = 9)
     for m in range(1, 13):
+        assert sum(offsets.size for chunk in _subset_chunks(m) for offsets in chunk) \
+            == m * (m + 1) * 2 ** m
         fits = m * (m + 1) * 2 ** m <= _STACK
         assert (len(list(_subset_chunks(m))) == 1) == fits
-        assert (next(_plan(m)) is next(_plan(m))) == fits
-        if fits:
-            assert not any(offsets.flags.writeable for offsets in next(_plan(m)))
+        assert fits == (m <= 9)
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -138,7 +139,7 @@ def test_power_traces_match_matrix_powers(m, count):
     # with X swapping the two indices of each pair; both m pair the top
     # power with lower ones for k > ceil(m/2)
     stack = _stack_of(2 * m, count, seed=60 + m)
-    (blocks,) = _plan(m)
+    (blocks,) = _subset_chunks(m)
     for offsets in blocks:
         cols = offsets[:, 0, :] % (2 * m)
         out = np.empty((count, m, len(cols)), dtype=complex)
@@ -150,12 +151,11 @@ def test_power_traces_match_matrix_powers(m, count):
             np.testing.assert_allclose(out[i, :, c], ref, rtol=1e-12, atol=0)
 
 
-def test_plan_cache_agrees_under_concurrent_first_use():
-    # eight threads build and read the cached plans at once, with a short
-    # switch interval; every result must equal the serial one
+def test_concurrent_calls_agree_with_serial_ones():
+    # eight threads call hafnian_fast at once, with a short switch
+    # interval; every result must equal the serial one
     mats = [random_symmetric(n, seed=40 + n) for n in range(2, 20, 2)]
     expected = [hafnian_fast(b) for b in mats]
-    hafnian_module._one_chunk_plan.cache_clear()
     results, errors = [], []
 
     def work():
