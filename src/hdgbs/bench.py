@@ -46,14 +46,21 @@ class BenchRecord:
 
 @dataclass(frozen=True)
 class CostModel:
-    """t(n) = c * n^3 * 2^(n/2) with machine constant c in seconds."""
+    """t(n) = c * n^3 * 2^(n/2) with machine constant c in seconds; a c
+    below the smallest normal float is refused, as ``extrapolate`` refuses
+    to produce one."""
 
     c: float
     r_squared: float
     machine_label: str
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _real(self.c, "model constant c", 0, math.inf, "()"))
+        c = _real(self.c, "model constant c", 0, math.inf, "()")
+        if c < sys.float_info.min:
+            raise ContractViolationError(
+                f"model constant c must be at least the smallest normal float "
+                f"{sys.float_info.min:g}, got {c:g}")
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "r_squared", _real(self.r_squared, "r_squared", 0, 1))
         if not isinstance(self.machine_label, str):
             raise ContractViolationError(

@@ -1,5 +1,6 @@
 """Tests for the benchmark harness and the cost model."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ def test_extrapolate_refuses_a_ratio_that_takes_c_out_of_normal_range(ratio, c):
     with pytest.raises(ContractViolationError,
                        match=rf"rmax_ratio .* model constant c = 1e-09 to {c},"):
         extrapolate(model, ratio)
+
+
+def test_cost_model_refuses_a_subnormal_constant():
+    # the rule extrapolate applies to the c it forms holds for a given c too
+    with pytest.raises(ContractViolationError,
+                       match=r"^model constant c must be at least the smallest normal float"):
+        CostModel(c=1e-310, r_squared=1.0, machine_label="x")
+    assert CostModel(c=sys.float_info.min, r_squared=1.0, machine_label="x").c \
+        == sys.float_info.min
 
 
 def _point_mass_at_zero():

@@ -549,6 +549,10 @@ NON_FINITE_BENCH = {
                                  "--c", "1e-12", "--overhead", "inf"],
     "sample-cost-overflow": ["bench", "sample-cost", "--dist", "{dist.csv}",
                              "--c", "1e308"],
+    "sample-cost-subnormal-c": ["bench", "sample-cost", "--dist", "{dist.csv}",
+                                "--c", "1e-310"],
+    "sample-cost-subnormal-model": ["bench", "sample-cost", "--dist", "{dist.csv}",
+                                    "--model", "{subnormal.json}"],
 }
 
 
@@ -560,6 +564,7 @@ def test_non_finite_cost_model_or_bench_input_exits_2(tmp_path, capsys, case):
             for n in range(16, 30, 2)))
     (tmp_path / "nan.json").write_text(json.dumps({**MODEL, "c": float("nan")}))
     (tmp_path / "model.json").write_text(json.dumps(MODEL))
+    (tmp_path / "subnormal.json").write_text(json.dumps({**MODEL, "c": 1e-310}))
     assert run(["photondist", "--modes", "8", "--r", "0.6", "--nmax", "40",
                 "--out", str(tmp_path / "dist.csv")]) == 0
     out = tmp_path / "out.json"

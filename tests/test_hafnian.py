@@ -2,8 +2,10 @@
 
 The enumeration routine is the oracle: it is the defining sum over
 perfect matchings, so the fast path is validated against it rather than
-against any frozen constant.
+against any frozen constant. Above its limit the matching recursion in
+extended precision takes its place.
 """
+import functools
 import itertools
 import math
 import sys
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdgbs import hafnian as hafnian_module
+from hdgbs.circuit import adjacency, build_instance
 from hdgbs.errors import ContractViolationError, ResourceLimitError
 from hdgbs.hafnian import (_STACK, _power_traces, _subset_chunks, hafnian_enum,
                            hafnian_fast, permanent, permanent_enum, permanent_via_hafnian)
@@ -132,23 +135,27 @@ def test_subsets_fit_one_chunk_exactly_when_their_entries_fit_the_stack():
         assert fits == (m <= 9)
 
 
-@pytest.mark.parametrize("count", [1, 3])
-@pytest.mark.parametrize("m", [3, 6])
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 10])
 def test_power_traces_match_matrix_powers(m, count):
     # stage oracle: out[i, k-1, c] = tr((X B_S)^k) for matrix i and subset c,
-    # with X swapping the two indices of each pair; both m pair the top
-    # power with lower ones for k > ceil(m/2)
+    # with X swapping the two indices of each pair. m = 1 and 2 form no
+    # product; from m = 3 on the traces above ceil(m/2) pair the top power
+    # with lower ones, and m = 10 spans several chunks, with four real
+    # products per block
     stack = _stack_of(2 * m, count, seed=60 + m)
-    (blocks,) = _subset_chunks(m)
-    for offsets in blocks:
+    chunks = list(_subset_chunks(m))
+    assert (len(chunks) > 1) == (m == 10)
+    for offsets in itertools.chain.from_iterable(chunks):
         cols = offsets[:, 0, :] % (2 * m)
         out = np.empty((count, m, len(cols)), dtype=complex)
         _power_traces(stack.reshape(count, -1), m, offsets, out)
         swap = np.kron(np.eye(cols.shape[1] // 2), [[0.0, 1.0], [1.0, 0.0]])
-        for i, c in itertools.product(range(count), range(len(cols))):
-            xb = swap @ stack[i][np.ix_(cols[c], cols[c])]
-            ref = [np.trace(np.linalg.matrix_power(xb, k)) for k in range(1, m + 1)]
-            np.testing.assert_allclose(out[i, :, c], ref, rtol=1e-12, atol=0)
+        for i in range(count):
+            xb = swap @ stack[i][cols[:, :, None], cols[:, None, :]]
+            ref = [np.trace(np.linalg.matrix_power(xb, k), axis1=1, axis2=2)
+                   for k in range(1, m + 1)]
+            np.testing.assert_allclose(out[i], ref, rtol=1e-12, atol=0)
 
 
 def test_concurrent_calls_agree_with_serial_ones():
@@ -351,11 +358,81 @@ def test_extended_reference_matches_enumeration():
     assert abs(_extended_power_trace_hafnian(b) - hafnian_enum(b)) <= 1e-14 * abs(hafnian_enum(b))
 
 
+def _matching_hafnian(b: np.ndarray) -> complex:
+    """Hafnian by the matching recursion h(S) = sum_{j in S, j != i} B_ij
+    h(S - {i, j}), with i the lowest index of S and h({}) = 1, over the
+    bitmasks S of the index set, one popcount layer at a time, in 80-bit
+    extended precision. Every term adds products of entries with no
+    alternating sign, so its error does not grow with the cancellation that
+    limits the power-trace sum; it costs O(N 2^N)."""
+    b = np.asarray(b, dtype=np.clongdouble)
+    n = b.shape[0]
+    masks = np.arange(1 << n)
+    popcount = np.bitwise_count(masks)
+    h = np.zeros(1 << n, dtype=np.clongdouble)
+    h[0] = 1
+    for size in range(2, n + 1, 2):
+        layer = masks[popcount == size]
+        low = np.bitwise_count((layer & -layer) - 1).astype(np.intp)   # lowest set bit
+        rest = layer ^ (1 << low)
+        acc = np.zeros(len(layer), dtype=np.clongdouble)
+        for j in range(1, n):
+            has = (rest >> j) & 1 == 1
+            acc[has] += b[low[has], j] * h[rest[has] ^ (1 << j)]
+        h[layer] = acc
+    return complex(h[-1])
+
+
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 8, 10, 12])
+def test_matching_reference_matches_enumeration(n):
+    for seed in range(3):
+        b = random_symmetric(n, seed=900 + 10 * n + seed)
+        ref = hafnian_enum(b)
+        assert abs(_matching_hafnian(b) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_matching_reference_matches_extended_power_traces():
+    b = random_symmetric(16, seed=5)
+    ref = _extended_power_trace_hafnian(b)
+    assert abs(_matching_hafnian(b) - ref) <= 1e-14 * abs(ref)
+
+
+@functools.cache
+def _instance_adjacency(cycles: int) -> np.ndarray:
+    return adjacency(build_instance(0.8, 6, 3, cycles, seed=42))
+
+
+def _instance_submatrices(cycles: int, n: int, count: int) -> list:
+    """B_n of ``count`` random collision-free patterns with n photons on the
+    216-mode (0.8, 6, 3, cycles) instance of seed 42, the README's example
+    lattice; the patterns of each (cycles, n) come from one fixed seed."""
+    a = _instance_adjacency(cycles)
+    rng = np.random.default_rng(100 * cycles + n)
+    patterns = np.zeros((count, len(a)), dtype=int)
+    for row in patterns:
+        row[rng.choice(len(a), n, replace=False)] = 1
+    return list(reduce_by_pattern(a, patterns))
+
+
+@pytest.mark.parametrize("cycles, n, bound", [
+    (1, 12, 3e-10), (1, 14, 3e-9), (1, 16, 3e-8),
+    (3, 12, 3e-12), (3, 14, 6e-12), (3, 16, 1e-11)])
+def test_hafnian_fast_error_on_instance_submatrices(cycles, n, bound):
+    # each bound is about ten times the worst relative error that the
+    # complex-matmul kernel gave on these 20 matrices, set before the kernel
+    # changed: 2.8e-11, 3.3e-10, 3.3e-9 on the one-cycle instance and
+    # 2.9e-13, 6.0e-13, 1.1e-12 on the three-cycle one
+    for b in _instance_submatrices(cycles, n, 20):
+        ref = _matching_hafnian(b)
+        assert abs(hafnian_fast(b) - ref) <= bound * abs(ref)
+
+
 @pytest.mark.parametrize("n, seed", [(20, 1), (24, 1)])
 def test_hafnian_fast_matches_extended_precision(n, seed):
-    # measured relative errors 5.1e-13 and 1.1e-10; the eigenvalue kernel
-    # gave 2.0e-11 and 6.5e-10 on the same matrices, so this tolerance is
-    # set from the matrix-power kernel alone
+    # measured relative errors 5.1e-13 and 1.1e-10 with complex matmuls,
+    # 5.1e-13 and 1.2e-10 with the real chain; the eigenvalue kernel gave
+    # 2.0e-11 and 6.5e-10 on the same matrices, so this tolerance is set
+    # from the matrix-power kernel alone
     b = random_symmetric(n, seed=seed)
     ref = _extended_power_trace_hafnian(b)
     assert abs(hafnian_fast(b) - ref) <= 1e-9 * abs(ref)
