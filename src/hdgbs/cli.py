@@ -63,11 +63,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_pattern(text: str) -> list[int]:
+def _parse_ints(text: str, name: str) -> list[int]:
+    """Comma-separated integers; an empty field is refused, not skipped."""
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise ContractViolationError(f"bad pattern {text!r}: {exc}") from exc
+        raise ContractViolationError(f"bad {name} {text!r}: {exc}") from exc
 
 
 def _load(path: str, parse):
@@ -127,7 +128,7 @@ def _cmd_haf(args) -> None:
 
 def _cmd_prob(args) -> None:
     inst = _load(args.instance, circuit.load_instance)
-    pattern = _parse_pattern(args.pattern)
+    pattern = _parse_ints(args.pattern, "pattern")
     a = circuit.adjacency(inst)
     r_vec = np.full(inst.modes, inst.r)
     p = probability.outcome_probability(a, r_vec, pattern, workers=args.threads)
@@ -194,7 +195,8 @@ def _cmd_hiding_scan(args) -> None:
 
 def _cmd_tn_cost(args) -> None:
     inst = _load(args.instance, circuit.load_instance)
-    pattern = _parse_pattern(args.pattern) if args.pattern else [0] * inst.modes
+    pattern = ([0] * inst.modes if args.pattern is None
+               else _parse_ints(args.pattern, "pattern"))
     network = focknet.build_network(inst, args.cutoff, pattern)
     plan = focknet.contraction_cost(network, args.trials, args.seed)
     obj = {"est_flops": plan.est_flops, "max_tensor_elems": plan.max_tensor_elems,
@@ -204,7 +206,7 @@ def _cmd_tn_cost(args) -> None:
 
 def _cmd_tn_contract(args) -> None:
     inst = _load(args.instance, circuit.load_instance)
-    pattern = _parse_pattern(args.pattern)
+    pattern = _parse_ints(args.pattern, "pattern")
     network = focknet.build_network(inst, args.cutoff, pattern)
     plan = focknet.contraction_cost(network, args.trials, args.seed)
     amp = focknet.contract(network, plan, memory_guard=args.memory_guard)
@@ -213,7 +215,7 @@ def _cmd_tn_contract(args) -> None:
 
 
 def _cmd_bench_run(args) -> None:
-    sizes = _parse_pattern(args.sizes)
+    sizes = _parse_ints(args.sizes, "sizes")
     records = bench_mod.bench_hafnian(sizes, args.reps, args.seed,
                                       workers=args.threads)
     _write_csv(args.out, BENCH_HEADER,

@@ -188,8 +188,17 @@ def build_network(instance: GbsInstance, cutoff: int,
     One squeezer tensor per mode, one beam-splitter tensor per gate wired
     in gate order; with a pattern, every output wire is closed by the
     corresponding photon-count basis vector. Wires are labelled (q, hop).
+    Passive gates conserve photon number, so a cutoff above the pattern's
+    photon total N is exact; a cutoff <= N would truncate it and is refused.
     """
     modes = instance.modes
+    if pattern is not None:
+        counts = _counts(pattern, modes)
+        photons = int(counts.sum())
+        if _integer(cutoff, "cutoff", 1) <= photons:
+            raise ContractViolationError(
+                f"cutoff {cutoff} truncates a {photons}-photon amplitude; "
+                f"it must be at least {photons + 1}")
     wire = [(q, 0) for q in range(modes)]
     tensors = [squeezed_vacuum_tensor(instance.r, cutoff, wire[q])
                for q in range(modes)]
@@ -200,7 +209,6 @@ def build_network(instance: GbsInstance, cutoff: int,
         wire[g.i], wire[g.j] = new_i, new_j
     if pattern is None:
         return TensorNetwork(tuple(tensors), tuple(wire))
-    counts = _counts(pattern, modes)
     for q in range(modes):
         tensors.append(fock_basis_vector(int(counts[q]), cutoff, wire[q]))
     return TensorNetwork(tuple(tensors), ())

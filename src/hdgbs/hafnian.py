@@ -27,19 +27,17 @@ of same-size subsets, and a block's width gives its subsets' sign. The
 chunks are built afresh by every call; no state is kept between calls.
 
 ``hafnian_fast`` also takes a stack of matrices, shape (..., N, N), as
-``numpy.linalg`` does. Up to about ``_STACK`` entries of subset blocks,
-the matrices of a stack share every numpy call of a chunk: the gather,
-the matmuls, the traces and the coefficient recursion run once over all
-of them, which is what makes many small Hafnians cheap (a call at N <= 6
-is mostly fixed overhead). A chunk lays its power traces and series
-coefficients out as (matrix, power, subset), so each matrix owns one
-C-contiguous (power, subset) block from the start. Only the last
-reduction runs per matrix, on that block, so each value equals the one
-the matrix gives alone, bit for bit; a single matrix is the stack of one.
+``numpy.linalg`` does. The stack runs group by group, a group holding
+about ``_STACK`` entries of subset blocks, and the matrices of a group
+share every numpy call of a chunk, final reduction included, which is
+what makes many small Hafnians cheap (a call at N <= 6 is mostly fixed
+overhead). A chunk lays its power traces and series coefficients out as
+(matrix, power, subset), so each matrix owns one C-contiguous (power,
+subset) block, and that layout alone makes each value equal the one the
+matrix gives alone, bit for bit; a single matrix is the stack of one.
 """
 
 import math
-import operator
 from collections import deque
 from itertools import chain, combinations, islice
 
@@ -163,10 +161,10 @@ def _chunk_sum(flat: np.ndarray, m: int, blocks) -> list:
     row), with det(I - x A)^(-1/2) = exp(sum_k tr(A^k) x^k / (2k)). A block
     of width 2s holds subsets of s pairs, whose sign is (-1)^(m-s).
 
-    The K matrices share every numpy call up to the last. The traces and
-    coefficients are laid out (matrix, power, subset), and each block fills
-    the subset columns [start, stop) it owns, so each matrix's own
-    (m, count) block is C-contiguous for the final reduction.
+    The K matrices share every numpy call, the final reduction included.
+    The traces and coefficients are laid out (matrix, power, subset), and
+    each block fills the subset columns [start, stop) it owns, so each
+    matrix's own (m, count) block is C-contiguous.
     """
     stack, count = len(flat), sum(map(len, blocks))
     tr = np.empty((stack, m, count), dtype=complex)
@@ -184,10 +182,11 @@ def _chunk_sum(flat: np.ndarray, m: int, blocks) -> list:
     for j in range(1, m):
         np.einsum("skb,skb->sb", tr[:, :j], rc[:, m - j:], out=rc[:, m - 1 - j])
         rc[:, m - 1 - j] /= 2 * j
-    # the final reduction runs on each matrix's own C-contiguous (m, count)
-    # block: einsum's summation order depends on the operands' layout, so
-    # any other layout would change the last bits
-    return [complex(np.einsum("kb,kb,b->", t, c, sign)) / (2 * m) for t, c in zip(tr, rc)]
+    # each matrix's C-contiguous (m, count) block fixes its summation order,
+    # so one einsum sums each matrix as it would alone; the division by 2m
+    # stays in Python, as numpy's complex division changes the last bits
+    sums = np.einsum("skb,skb,b->s", tr, rc, sign)
+    return [v / (2 * m) for v in sums.tolist()]
 
 
 def hafnian_fast(b: np.ndarray, workers: int = 1) -> complex | np.ndarray:
@@ -196,9 +195,10 @@ def hafnian_fast(b: np.ndarray, workers: int = 1) -> complex | np.ndarray:
 
     Odd sizes return 0, the empty matrix gives 1, and non-symmetric input
     or a size above FAST_CEILING is rejected. ``workers``, an integer
-    >= 1, fans the subset chunks over that many threads; 1 runs serially.
-    The reduction order is fixed, so the result does not depend on the
-    worker count.
+    >= 1, overlaps one group's subset chunks on that many threads (a group
+    is one chunk up to N = 18, so this acts from N = 20; the groups of a
+    stack run one after another); 1 runs serially. The reduction order is
+    fixed, so the result does not depend on the worker count.
 
     ``b`` may also be a stack of shape (..., n, n), as in ``numpy.linalg``;
     the result is then an array of shape (...), and each value equals the
@@ -249,54 +249,47 @@ def _hafnians(stack: np.ndarray, workers: int) -> list:
     # the (2s)^2 entries of all 2^m - 1 subsets add up to m (m + 1) 2^m,
     # which fits one chunk up to m = 9; matrices are grouped so that a
     # group's gathered subsets stay near _STACK entries, and from m = 10 on
-    # a group is one matrix. Checks, rescale and sums run group by group,
-    # so no temporary spans the whole stack.
+    # a group is one matrix. Groups run one after another, so no temporary
+    # spans the whole stack.
     group = max(1, _STACK // (m * (m + 1) << m))
-    scales = []
-
-    def units():
-        for lo in range(0, size, group):
-            part = stack[lo:lo + group]
-            # one max|b| per matrix serves the symmetry check and the
-            # rescale, which keeps the power sums well inside double range;
-            # Haf(cB) = c^(n/2) Haf(B) restores the scale afterwards
-            scale = assert_symmetric(part)
-            scales.extend(scale.tolist())
-            # a zero matrix is divided by 1 and stays zero, Hafnian 0
-            scale = np.where(scale > 0.0, scale, 1.0)
-            flat = (part / scale.reshape(-1, 1, 1)).reshape(len(part), -1)
-            for chunk in _subset_chunks(m):
-                yield lo, flat, chunk
-
-    total = [0.0 + 0.0j] * size
-    for lo, sums in _chunk_sums(units(), m, workers):
-        hi = lo + len(sums)
-        total[lo:hi] = map(operator.add, total[lo:hi], sums)
-    return [t * c ** m if c else 0.0 + 0.0j for t, c in zip(total, scales)]
+    values = []
+    for lo in range(0, size, group):
+        part = stack[lo:lo + group]
+        # one max|b| per matrix serves the symmetry check and the rescale,
+        # which keeps the power sums well inside double range;
+        # Haf(cB) = c^(n/2) Haf(B) restores the scale afterwards
+        scale = assert_symmetric(part)
+        # a zero matrix is divided by 1 and stays zero, Hafnian 0
+        safe = np.where(scale > 0.0, scale, 1.0)
+        flat = (part / safe[:, None, None]).reshape(len(part), -1)
+        total = [0.0 + 0.0j] * len(part)
+        for sums in _chunk_sums(flat, m, workers):
+            total = [t + v for t, v in zip(total, sums)]
+        values.extend(t * c ** m if c else 0.0 + 0.0j
+                      for t, c in zip(total, scale.tolist()))
+    return values
 
 
-def _chunk_sums(units, m: int, workers: int):
-    """(lo, _chunk_sum(part, m, chunk)) for each (lo, part, chunk) unit, in
-    the units' order whatever the worker count, so partial sums are always
-    added in canonical chunk order. With threads, at most 2 * workers
-    units wait, so the subsets stay streamed rather than all held at once.
-    The thread pool's module loads on the first call with workers > 1.
+def _chunk_sums(flat: np.ndarray, m: int, workers: int):
+    """_chunk_sum(flat, m, chunk) for each chunk of ``_subset_chunks(m)``,
+    in canonical order whatever the worker count. Threads overlap the
+    chunks of this one group, with at most 2 * workers waiting, so the
+    subsets stay streamed rather than all held at once. The thread pool's
+    module loads on the first call with workers > 1.
     """
     if workers == 1:
-        for lo, part, chunk in units:
-            yield lo, _chunk_sum(part, m, chunk)
+        for chunk in _subset_chunks(m):
+            yield _chunk_sum(flat, m, chunk)
         return
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
-        for lo, part, chunk in units:
-            pending.append((lo, pool.submit(_chunk_sum, part, m, chunk)))
+        for chunk in _subset_chunks(m):
+            pending.append(pool.submit(_chunk_sum, flat, m, chunk))
             if len(pending) > 2 * workers:
-                lo, future = pending.popleft()
-                yield lo, future.result()
+                yield pending.popleft().result()
         while pending:
-            lo, future = pending.popleft()
-            yield lo, future.result()
+            yield pending.popleft().result()
 
 
 def permanent(g: np.ndarray) -> complex:

@@ -15,6 +15,7 @@ do not depend on the unitary). All mass functions are stored in log space.
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -296,16 +297,11 @@ def outcome_probability(a: np.ndarray, r_vec, pattern,
 
 def enumerate_patterns(modes: int, n_max: int):
     """Yield every count pattern over ``modes`` modes with total <= n_max,
-    in lexicographic order."""
-    def rec(prefix, remaining, left):
-        if left == 1:
-            for t in range(remaining + 1):
-                yield prefix + (t,)
-            return
-        for t in range(remaining + 1):
-            yield from rec(prefix + (t,), remaining - t, left - 1)
-
-    yield from rec((), n_max, modes)
+    in lexicographic order, by stars and bars: each pattern is the gaps
+    between consecutive bars of ``modes`` bars among n_max + modes slots.
+    Combinations come in lexicographic order, and so do their gaps."""
+    for bars in combinations(range(n_max + modes), modes):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
 
 
 def pattern_count(modes: int, n_max: int) -> int:

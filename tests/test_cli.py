@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hdgbs import hiding
 from hdgbs.circuit import build_instance, instance_to_json, load_instance
 from hdgbs.cli import build_parser, main
 from hdgbs.focknet import ContractionPlan, _sweep_order, build_network, replay_cost
@@ -121,6 +122,29 @@ def test_hiding_scan_csv(tmp_path):
     assert rows[0] == "M,N,K,samples,bins,tv"
     assert len(rows) == 3
     assert rows[1].startswith("25,3,25,30,10,")
+
+
+def test_hiding_scan_kind_overrides(tmp_path):
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"samples": 30, "bins": 10, "pairs": [
+        {"M": 25, "N": 3, "K": 25, "kind_a": "haar_sub", "kind_b": "gaussian"}]}))
+    out = tmp_path / "scan.csv"
+    assert run(["hiding", "scan", "--config", str(cfg), "--seed", "3",
+                "--out", str(out)]) == 0
+    specs = [(hiding.EnsembleSpec("haar_sub", 25, 3, 25),
+              hiding.EnsembleSpec("gaussian", 25, 3, 25))]
+    (expected,) = hiding.hiding_scan(specs, 30, 10, 3)
+    rows = out.read_text().strip().splitlines()
+    assert rows[1] == f"25,3,25,30,10,{expected['tv']!r}"
+
+
+def test_hiding_scan_unknown_kind_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"samples": 3, "pairs": [
+        {"M": 9, "N": 2, "K": 9, "kind_a": "haar"}]}))
+    out = tmp_path / "scan.csv"
+    assert run(["hiding", "scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown ensemble kind 'haar'" in _assert_one_line_violation(capsys, out)
 
 
 def test_tn_cost_and_contract(tmp_path):
@@ -591,6 +615,7 @@ def _assert_one_line_violation(capsys, out):
     assert captured.out == ""
     assert captured.err.startswith("contract violation: ")
     assert captured.err.count("\n") == 1
+    return captured.err
 
 
 # every command that reads --seed; numpy refuses a negative seed
@@ -642,6 +667,40 @@ def test_hiding_scan_checks_an_empty_or_zero_sample_scan(tmp_path, capsys, confi
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"contract violation: {message}\n"
+
+
+# an empty field used to be skipped, so each of these ran on the list
+# without it (and "" as the vacuum, or an empty list of sizes)
+EMPTY_FIELD = {
+    "prob-inner": ["prob", "--instance", "{inst}", "--pattern", "0,1,,1,0"],
+    "prob-ends": ["prob", "--instance", "{inst}", "--pattern", ",0,1,1,0,"],
+    "tn-contract": ["tn", "contract", "--instance", "{inst}", "--pattern", "0,2,,0,2"],
+    "tn-cost": ["tn", "cost", "--instance", "{inst}", "--trials", "2", "--pattern", ""],
+    "bench-run-inner": ["bench", "run", "--sizes", "4,,6", "--reps", "1"],
+    "bench-run-empty": ["bench", "run", "--sizes", "", "--reps", "1"],
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_FIELD))
+def test_comma_list_with_an_empty_field_exits_2(tmp_path, capsys, case):
+    inst = str(_small_instance(tmp_path))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [inst if a == "{inst}" else a for a in EMPTY_FIELD[case]]
+    assert run(argv + ["--out", str(out)]) == 2
+    text = argv[argv.index("--sizes" if case.startswith("bench") else "--pattern") + 1]
+    assert repr(text) in _assert_one_line_violation(capsys, out)
+
+
+def test_tn_contract_cutoff_at_the_photon_total_exits_2(tmp_path, capsys):
+    # README's small.json; cutoff 4 used to print a truncated amplitude
+    inst = tmp_path / "small.json"
+    assert run(["instance", "new", "--r", "0.3", "--a", "2", "--D", "2", "--C", "1",
+                "--seed", "7", "--out", str(inst)]) == 0
+    out = tmp_path / "amp.txt"
+    assert run(["tn", "contract", "--instance", str(inst), "--cutoff", "4",
+                "--pattern", "0,2,0,2", "--out", str(out)]) == 2
+    _assert_one_line_violation(capsys, out)
 
 
 @pytest.mark.parametrize("guard", ["nan", "0", "-1"])

@@ -127,6 +127,22 @@ def test_network_rejects_pattern_over_cutoff():
         build_network(inst, cutoff=3, pattern=[3, 0])
 
 
+def test_network_refuses_a_cutoff_that_truncates_the_amplitude():
+    # a 4-photon pattern puts up to 4 photons on a wire, which needs cutoff 5
+    inst = build_instance(0.3, 2, 2, 1, seed=7)
+    with pytest.raises(ContractViolationError, match="cutoff 4 .* 4-photon"):
+        build_network(inst, cutoff=4, pattern=[0, 2, 0, 2])
+
+
+def test_cutoff_one_above_the_photon_total_is_exact():
+    inst = build_instance(0.3, 2, 2, 1, seed=7)
+    pattern = [0, 2, 0, 2]
+    net = build_network(inst, cutoff=5, pattern=pattern)
+    amp = contract(net, contraction_cost(net, trials=2, seed=0))
+    ref = outcome_probability(adjacency(inst), np.full(4, 0.3), pattern)
+    assert abs(amp) ** 2 == pytest.approx(ref, rel=1e-12)
+
+
 def test_network_validation_catches_label_misuse():
     t1 = FockTensor(("x",), np.ones(3, dtype=complex))
     t2 = FockTensor(("x",), np.ones(4, dtype=complex))

@@ -266,8 +266,9 @@ def test_stacked_hafnian_rejects_a_non_symmetric_member():
 
 @pytest.mark.parametrize("n, count", [(6, 1400), (20, 2)])
 def test_stacked_hafnian_workers_bit_identical(n, count):
-    # several groups (n = 6) and several chunks per matrix (n = 20) go to
-    # the pool; the sums are added in the same order as serially
+    # at n = 6 the groups run one after another, each one chunk; at n = 20
+    # each matrix's chunks overlap on the pool, and its sums are added in
+    # the same order as serially
     stack = _stack_of(n, count, seed=40)
     serial = hafnian_fast(stack)
     assert _bits(hafnian_fast(stack, workers=2)) == _bits(serial)

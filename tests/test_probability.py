@@ -6,6 +6,7 @@ convolved), and outcome probabilities of collision-free patterns are
 checked against the paper's first-k-squeezed form, evaluated here by
 Hafnian enumeration as an independent oracle.
 """
+import itertools
 import math
 
 import numpy as np
@@ -432,6 +433,16 @@ def test_pattern_enumeration_counts():
     assert len(pats) == pattern_count(3, 2) == 10
     assert len(set(pats)) == len(pats)
     assert all(sum(p) <= 2 for p in pats)
+
+
+@pytest.mark.parametrize("modes, n_max", [(1, 0), (1, 3), (2, 4), (3, 2), (4, 4), (5, 3)])
+def test_pattern_enumeration_order_is_lexicographic(modes, n_max):
+    # exact_sample's draws index this order, so it is pinned here
+    expected = [p for p in itertools.product(range(n_max + 1), repeat=modes)
+                if sum(p) <= n_max]
+    got = list(enumerate_patterns(modes, n_max))
+    assert got == expected
+    assert all(type(x) is int for p in got for x in p)
 
 
 # ----------------------------------------------- squeezing and truncation
