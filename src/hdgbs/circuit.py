@@ -35,10 +35,10 @@ class GbsInstance:
     """An (r, a, D, C) instance: parameters, gates and unitary.
 
     Every instance, built or loaded, is checked here: a valid lattice of at
-    most MODE_LIMIT modes, a finite r >= 0 and exactly the 2 x 2 gates of
-    the delay-line order, whose product must be unitary. It stores what it
-    checked: Python ints, and each gate at its delay-line (i, j) with a
-    read-only complex copy of its matrix.
+    most MODE_LIMIT modes, a finite r >= 0 and exactly the gates of the
+    delay-line order, each a 2 x 2 unitary, as is their product. It stores
+    what it checked, so code given an instance need not check it again:
+    Python ints, and each gate at its (i, j) as a read-only complex copy.
     ``unitary`` is not an argument: it is the read-only ordered product of
     the gates.
     """
@@ -63,17 +63,16 @@ class GbsInstance:
         if len(self.gates) != count:
             raise ContractViolationError(
                 f"gate list has {len(self.gates)} entries, expected {count}")
-        pairs = chain.from_iterable(_layers(self.a, self.dim, self.cycles))
-        gates = []
+        pairs = list(chain.from_iterable(_layers(self.a, self.dim, self.cycles)))
         for k, (g, pair) in enumerate(zip(self.gates, pairs)):
             if (g.i, g.j) != pair or np.shape(g.v) != (2, 2):
                 raise ContractViolationError(
                     f"gate {k}, a {np.shape(g.v)} matrix on modes ({g.i}, {g.j}), is not "
                     f"the 2 x 2 gate on {m} modes at {pair} of the delay-line order")
-            v = np.array(g.v, dtype=complex)
-            v.setflags(write=False)
-            gates.append(Gate(*pair, v))
-        object.__setattr__(self, "gates", tuple(gates))
+        stack = np.array([g.v for g in self.gates], dtype=complex)
+        stack.setflags(write=False)
+        assert_unitary(stack)       # its refusal names gate k as matrix k
+        object.__setattr__(self, "gates", tuple(Gate(*p, v) for p, v in zip(pairs, stack)))
         unitary = _gate_product(m, self.gates)
         unitary.setflags(write=False)
         assert_unitary(unitary)

@@ -158,7 +158,11 @@ def beamsplitter_tensor(v: np.ndarray, cutoff: int,
     if v.shape != (2, 2):
         raise ContractViolationError(f"expected a 2x2 matrix, got {v.shape}")
     assert_unitary(v)
-    cutoff = _integer(cutoff, "cutoff", 1)
+    return FockTensor(tuple(labels), _beamsplitter_values(v, _integer(cutoff, "cutoff", 1)))
+
+
+def _beamsplitter_values(v: np.ndarray, cutoff: int) -> np.ndarray:
+    """``beamsplitter_tensor``'s values, for a checked unitary and cutoff."""
     # numpy scalar arithmetic term by term, in the order of the expansion:
     # array arithmetic would change the last bits
     p00, p10, p01, p11 = ([v[p, q] ** k for k in range(cutoff)]
@@ -169,16 +173,7 @@ def beamsplitter_tensor(v: np.ndarray, cutoff: int,
         for coef, k00, k10, k01, k11 in terms:
             s += coef * p00[k00] * p10[k10] * p01[k01] * p11[k11]
         t[index] = s * scale
-    return FockTensor(tuple(labels), t)
-
-
-def fock_basis_vector(level: int, cutoff: int, label) -> FockTensor:
-    if not 0 <= level < cutoff:
-        raise ContractViolationError(
-            f"measured level {level} does not fit under cutoff {cutoff}")
-    e = np.zeros(cutoff, dtype=complex)
-    e[level] = 1.0
-    return FockTensor((label,), e)
+    return t
 
 
 def build_network(instance: GbsInstance, cutoff: int,
@@ -190,27 +185,31 @@ def build_network(instance: GbsInstance, cutoff: int,
     corresponding photon-count basis vector. Wires are labelled (q, hop).
     Passive gates conserve photon number, so a cutoff above the pattern's
     photon total N is exact; a cutoff <= N would truncate it and is refused.
+    The instance has checked its gates, so each distinct value is formed
+    once, unchecked; tensors share read-only squeezer and identity arrays.
     """
-    modes = instance.modes
+    cutoff = _integer(cutoff, "cutoff", 1)
     if pattern is not None:
-        counts = _counts(pattern, modes)
+        counts = _counts(pattern, instance.modes)
         photons = int(counts.sum())
-        if _integer(cutoff, "cutoff", 1) <= photons:
+        if cutoff <= photons:
             raise ContractViolationError(
                 f"cutoff {cutoff} truncates a {photons}-photon amplitude; "
                 f"it must be at least {photons + 1}")
-    wire = [(q, 0) for q in range(modes)]
-    tensors = [squeezed_vacuum_tensor(instance.r, cutoff, wire[q])
-               for q in range(modes)]
+    squeezer = squeezed_vacuum_tensor(instance.r, cutoff).values
+    squeezer.setflags(write=False)
+    wire = [(q, 0) for q in range(instance.modes)]
+    tensors = [FockTensor((w,), squeezer) for w in wire]
     for g in instance.gates:
         new_i, new_j = (g.i, wire[g.i][1] + 1), (g.j, wire[g.j][1] + 1)
-        tensors.append(beamsplitter_tensor(g.v, cutoff,
-                                           (new_i, new_j, wire[g.i], wire[g.j])))
+        tensors.append(FockTensor((new_i, new_j, wire[g.i], wire[g.j]),
+                                  _beamsplitter_values(g.v, cutoff)))
         wire[g.i], wire[g.j] = new_i, new_j
     if pattern is None:
         return TensorNetwork(tuple(tensors), tuple(wire))
-    for q in range(modes):
-        tensors.append(fock_basis_vector(int(counts[q]), cutoff, wire[q]))
+    basis = np.eye(cutoff, dtype=complex)
+    basis.setflags(write=False)
+    tensors.extend(FockTensor((w,), basis[n]) for w, n in zip(wire, counts.tolist()))
     return TensorNetwork(tuple(tensors), ())
 
 

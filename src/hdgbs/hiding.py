@@ -104,8 +104,8 @@ class SpectrumHistogram:
         count = _integer(self.sample_count, "sample count", 0)
         if edges.ndim != 1 or masses.ndim != 1 or edges.size != masses.size + 1:
             raise ContractViolationError("need len(edges) == len(masses) + 1")
-        if np.any(np.diff(edges) <= 0):
-            raise ContractViolationError("bin edges must be strictly increasing")
+        if not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
+            raise ContractViolationError("bin edges must be finite and strictly increasing")
         if not np.all(masses >= 0.0):     # a NaN mass fails too
             raise ContractViolationError("masses must be non-negative")
         if count > 0 and abs(masses.sum() - 1.0) > 1e-12:

@@ -155,11 +155,10 @@ def random_symmetric(n: int, seed) -> np.ndarray:
     return x + x.T
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm of U U^dagger - I."""
-    u = np.asarray(u)
-    eye = np.eye(u.shape[0])
-    return float(np.max(np.abs(u @ u.conj().T - eye)))
+def unitarity_defect(u: np.ndarray):
+    """Max-norm of U U^dagger - I per matrix of ``u``, shape (..., n, n)."""
+    u = _square(u, stack=True)
+    return np.abs(u @ u.conj().swapaxes(-2, -1) - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
 def symmetry_defect(a: np.ndarray) -> float:
@@ -169,10 +168,13 @@ def symmetry_defect(a: np.ndarray) -> float:
 
 
 def assert_unitary(u: np.ndarray) -> None:
-    d = unitarity_defect(u)
-    if not d <= UNITARY_TOL:          # a non-finite entry gives a NaN defect
-        raise ContractViolationError(
-            f"matrix is not unitary (defect {d:.3e} > {UNITARY_TOL:.1e})")
+    """Refuse ``u``, a matrix or a stack (..., n, n), with a defect over UNITARY_TOL."""
+    d = np.asarray(unitarity_defect(u))
+    bad = np.flatnonzero(~(d <= UNITARY_TOL))     # a non-finite entry gives a NaN defect
+    if bad.size:
+        where = f" {bad[0]} of the stack" if d.ndim else ""
+        raise ContractViolationError(f"matrix{where} is not unitary "
+                                     f"(defect {d.flat[bad[0]]:.3e} > {UNITARY_TOL:.1e})")
 
 
 def assert_symmetric(a: np.ndarray) -> np.ndarray:

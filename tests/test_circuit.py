@@ -375,6 +375,33 @@ def test_instance_rejects_gates_whose_product_is_not_unitary():
         GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, scaled)
 
 
+# two non-unitary gates on the (2, 1, 2) lattice whose product is the identity
+CANCELLING_GATES = (Gate(0, 1, np.diag([2.0, 1.0])), Gate(0, 1, np.diag([0.5, 1.0])))
+
+
+def test_instance_rejects_non_unitary_gates_whose_product_is_unitary():
+    # such an instance used to be built: its probabilities read the
+    # identity, while its networks refused the first gate
+    with pytest.raises(ContractViolationError, match="matrix 0 of the stack is not unitary"):
+        GbsInstance(0.3, 2, 1, 2, 0, CANCELLING_GATES)
+    obj = {"r": 0.3, "a": 2, "D": 1, "C": 2, "seed": 0,
+           "unitary": matrix_to_json(np.eye(2)),
+           "gates": [{"i": g.i, "j": g.j, "v": matrix_to_json(g.v)} for g in CANCELLING_GATES]}
+    with pytest.raises(ContractViolationError, match="not unitary"):
+        instance_from_json(obj)
+
+
+def test_instance_names_the_first_non_unitary_gate():
+    # gates 3 and 4 both fail; the refusal names gate 3 with its own defect
+    inst = build_instance(0.3, 2, 2, 1, seed=7)
+    gates = list(inst.gates)
+    gates[3] = gates[3]._replace(v=gates[3].v * (1 + 1e-6))
+    gates[4] = gates[4]._replace(v=gates[4].v * 2)
+    with pytest.raises(ContractViolationError,
+                       match=r"matrix 3 of the stack is not unitary \(defect 2\.000e-06 "):
+        GbsInstance(inst.r, inst.a, inst.dim, inst.cycles, inst.seed, tuple(gates))
+
+
 @pytest.mark.parametrize("r", [float("nan"), float("inf"), -0.3])
 def test_build_rejects_non_finite_or_negative_squeezing(r):
     with pytest.raises(ContractViolationError, match="finite and >= 0"):

@@ -618,6 +618,23 @@ def _assert_one_line_violation(capsys, out):
     return captured.err
 
 
+def test_instance_file_with_non_unitary_gates_exits_2(tmp_path, capsys):
+    # diag(2, 1) then diag(1/2, 1): the product is unitary, the gates are
+    # not; prob used to print 0.0 and exit 0, and the tn commands refused
+    # the file without naming it or the gate
+    gates = [np.diag([2.0, 1.0]), np.diag([0.5, 1.0])]
+    inst = tmp_path / "cancelling.json"
+    inst.write_text(json.dumps({
+        "r": 0.3, "a": 2, "D": 1, "C": 2, "seed": 0, "unitary": matrix_to_json(np.eye(2)),
+        "gates": [{"i": 0, "j": 1, "v": matrix_to_json(v)} for v in gates]}))
+    out = tmp_path / "p.txt"
+    for command in (["prob"], ["tn", "cost"], ["tn", "contract", "--cutoff", "3"]):
+        argv = command + ["--instance", str(inst), "--pattern", "1,1", "--out", str(out)]
+        assert run(argv) == 2, command
+        err = _assert_one_line_violation(capsys, out)
+        assert f"{inst}: matrix 0 of the stack is not unitary" in err, command
+
+
 # every command that reads --seed; numpy refuses a negative seed
 NEGATIVE_SEED = {
     "instance new": ["instance", "new", "--r", "0.3", "--a", "2", "--D", "1", "--C", "1",

@@ -12,8 +12,7 @@ from hdgbs.errors import ContractViolationError, ResourceLimitError
 from hdgbs.focknet import (ContractionPlan, FockTensor, TensorNetwork, _greedy_path,
                            _product_size, _search_setup, _size_rule, _sweep_order,
                            _tie_breaks, beamsplitter_tensor, build_network, contract,
-                           contraction_cost, fock_basis_vector, replay_cost,
-                           squeezed_vacuum_tensor)
+                           contraction_cost, replay_cost, squeezed_vacuum_tensor)
 from hdgbs.matrices import _seed_sequence, haar_unitary
 from hdgbs.probability import (enumerate_patterns, outcome_probability,
                                squeezed_vacuum_dist)
@@ -93,6 +92,33 @@ def test_beamsplitter_matches_direct_expansion_bit_for_bit(cutoff):
 def test_beamsplitter_rejects_non_unitary():
     with pytest.raises(ContractViolationError):
         beamsplitter_tensor(np.ones((2, 2)), cutoff=4)
+
+
+@pytest.mark.parametrize("cutoff, pattern", [
+    (1, None), (1, [0, 0, 0, 0]), (4, None), (4, [0, 2, 1, 0]), (12, None),
+    (12, [3, 0, 5, 2])])
+def test_network_tensors_equal_their_builders_bit_for_bit(cutoff, pattern):
+    # build_network forms each distinct value once and unchecked: every
+    # squeezer, gate and basis tensor must still be the one its own builder
+    # gives, and the values that tensors share must be read-only
+    inst = build_instance(0.4, 2, 2, 2, seed=31)
+    net = build_network(inst, cutoff, pattern)
+    squeezers = net.tensors[:inst.modes]
+    gates = net.tensors[inst.modes:inst.modes + len(inst.gates)]
+    closers = net.tensors[inst.modes + len(inst.gates):]
+    assert len(closers) == (0 if pattern is None else inst.modes)
+    squeezer = squeezed_vacuum_tensor(inst.r, cutoff).values
+    for t in squeezers:
+        assert t.values.tobytes() == squeezer.tobytes()
+    for t, g in zip(gates, inst.gates, strict=True):
+        assert t.values.tobytes() == beamsplitter_tensor(g.v, cutoff).values.tobytes()
+    for t, level in zip(closers, pattern or ()):
+        row = np.zeros(cutoff, dtype=complex)
+        row[level] = 1.0
+        assert t.values.dtype == row.dtype and t.values.tobytes() == row.tobytes()
+    for t in squeezers + closers:
+        with pytest.raises(ValueError, match="read-only"):
+            t.values[0] = 7.0
 
 
 def test_network_tensor_count_and_audit():
@@ -526,23 +552,17 @@ def test_cross_engine_balanced_splitter_nonuniform_squeezing():
     r_vec = [0.31, 0.52]
     cutoff = 12
     a = adjacency_general(v, r_vec)
+    basis = np.eye(cutoff, dtype=complex)
     for pattern in enumerate_patterns(2, 4):
         tensors = (squeezed_vacuum_tensor(r_vec[0], cutoff, "in0"),
                    squeezed_vacuum_tensor(r_vec[1], cutoff, "in1"),
                    beamsplitter_tensor(v, cutoff, ("out0", "out1", "in0", "in1")),
-                   fock_basis_vector(pattern[0], cutoff, "out0"),
-                   fock_basis_vector(pattern[1], cutoff, "out1"))
+                   FockTensor(("out0",), basis[pattern[0]]),
+                   FockTensor(("out1",), basis[pattern[1]]))
         net = TensorNetwork(tensors, ())
         amp = contract(net, contraction_cost(net, trials=2, seed=0))
         ref = outcome_probability(a, r_vec, pattern)
         assert abs(abs(amp) ** 2 - ref) <= 1e-8, pattern
-
-
-def test_fock_basis_vector_bounds():
-    v = fock_basis_vector(2, 4, "z")
-    assert np.array_equal(v.values, np.array([0, 0, 1, 0], dtype=complex))
-    with pytest.raises(ContractViolationError):
-        fock_basis_vector(4, 4, "z")
 
 
 def test_plan_rejects_foreign_network():

@@ -399,31 +399,48 @@ def test_matching_reference_matches_extended_power_traces():
 
 
 @functools.cache
-def _instance_adjacency(cycles: int) -> np.ndarray:
-    return adjacency(build_instance(0.8, 6, 3, cycles, seed=42))
+def _instance_adjacency(a: int, cycles: int) -> np.ndarray:
+    return adjacency(build_instance(0.8, a, 3, cycles, seed=42))
 
 
-def _instance_submatrices(cycles: int, n: int, count: int) -> list:
-    """B_n of ``count`` random collision-free patterns with n photons on the
-    216-mode (0.8, 6, 3, cycles) instance of seed 42, the README's example
-    lattice; the patterns of each (cycles, n) come from one fixed seed."""
-    a = _instance_adjacency(cycles)
+def _instance_submatrices(a: int, cycles: int, n: int, count: int, repeat: int) -> list:
+    """B_n of ``count`` random patterns with n photons, ``repeat`` in each of
+    n / repeat distinct modes, on the (0.8, a, 3, cycles) instance of seed
+    42 (a = 6 is the README's 216-mode example); the patterns of each
+    (cycles, n) come from one fixed seed."""
+    adj = _instance_adjacency(a, cycles)
     rng = np.random.default_rng(100 * cycles + n)
-    patterns = np.zeros((count, len(a)), dtype=int)
+    patterns = np.zeros((count, len(adj)), dtype=int)
     for row in patterns:
-        row[rng.choice(len(a), n, replace=False)] = 1
-    return list(reduce_by_pattern(a, patterns))
+        row[rng.choice(len(adj), n // repeat, replace=False)] = repeat
+    return list(reduce_by_pattern(adj, patterns))
 
 
-@pytest.mark.parametrize("cycles, n, bound", [
-    (1, 12, 3e-10), (1, 14, 3e-9), (1, 16, 3e-8),
-    (3, 12, 3e-12), (3, 14, 6e-12), (3, 16, 1e-11)])
-def test_hafnian_fast_error_on_instance_submatrices(cycles, n, bound):
-    # each bound is about ten times the worst relative error that the
-    # complex-matmul kernel gave on these 20 matrices, set before the kernel
-    # changed: 2.8e-11, 3.3e-10, 3.3e-9 on the one-cycle instance and
-    # 2.9e-13, 6.0e-13, 1.1e-12 on the three-cycle one
-    for b in _instance_submatrices(cycles, n, 20):
+# (a, cycles, repeat, n, bound): each bound is about ten times the worst
+# relative error on these 20 matrices, measured before the bound was set
+# and before any later kernel change. Collision-free (repeat 1) on the
+# 216-mode lattice, measured with
+# the complex-matmul kernel: 2.8e-11, 3.3e-10, 3.3e-9 at one cycle and
+# 2.9e-13, 6.0e-13, 1.1e-12 at three. Measured with the real-chain kernel:
+# 7.6e-12, 9.8e-12, 1.2e-11 on the 64-mode (0.8, 4, 3, 1) lattice, and
+# 3.1e-12, 4.4e-11, 4.1e-9 with every mode doubled (repeat 2) at one cycle.
+INSTANCE_ERROR_CASES = [
+    (6, 1, 1, 12, 3e-10), (6, 1, 1, 14, 3e-9), (6, 1, 1, 16, 3e-8),
+    (6, 3, 1, 12, 3e-12), (6, 3, 1, 14, 6e-12), (6, 3, 1, 16, 1e-11),
+    (4, 1, 1, 12, 8e-11), (4, 1, 1, 14, 1e-10), (4, 1, 1, 16, 1.2e-10),
+    (6, 1, 2, 12, 3e-11), (6, 1, 2, 14, 4e-10), (6, 1, 2, 16, 4e-8)]
+
+
+def _error_case_id(a, cycles, repeat, n, bound):
+    lattice = "" if a == 6 else f"a{a}-"
+    doubled = "" if repeat == 1 else "doubled-"
+    return f"{lattice}{doubled}{cycles}-{n}-{bound}"
+
+
+@pytest.mark.parametrize("a, cycles, repeat, n, bound", INSTANCE_ERROR_CASES,
+                         ids=[_error_case_id(*case) for case in INSTANCE_ERROR_CASES])
+def test_hafnian_fast_error_on_instance_submatrices(a, cycles, repeat, n, bound):
+    for b in _instance_submatrices(a, cycles, n, 20, repeat):
         ref = _matching_hafnian(b)
         assert abs(hafnian_fast(b) - ref) <= bound * abs(ref)
 

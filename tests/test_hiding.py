@@ -1,4 +1,6 @@
 """Tests for ensemble sampling, singular spectra and TV distances."""
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,15 @@ def test_histogram_type_validation():
 def test_histogram_rejects_negative_or_unsampled_masses(masses, count, message):
     with pytest.raises(ContractViolationError, match=message):
         SpectrumHistogram(np.array([0.0, 1.0, 2.0]), np.array(masses), count)
+
+
+@pytest.mark.parametrize("edges", [[0.0, math.nan, 1.0], [math.nan, 0.5, 1.0],
+                                   [0.0, 0.5, math.inf]], ids=["NaN", "leading-NaN", "inf"])
+def test_histogram_rejects_edges_that_are_not_finite(edges):
+    # a NaN edge passed the increasing-edges check, and the TV distance
+    # then refused the histogram against itself as "different bin edges"
+    with pytest.raises(ContractViolationError, match="finite and strictly increasing"):
+        SpectrumHistogram(edges, [0.5, 0.5], 3)
 
 
 def test_histogram_keeps_read_only_arrays():

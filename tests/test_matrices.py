@@ -185,6 +185,25 @@ def test_symmetry_check_rejects_non_finite_entry_without_a_warning(value):
         assert_symmetric(np.stack([np.eye(3), a]))
 
 
+def test_unitary_checks_take_a_stack():
+    # one call checks a stack: the defect per matrix, and a refusal naming
+    # the first failing matrix by its flat index
+    stack = np.stack([haar_unitary(3, seed=s) for s in range(6)]).reshape(2, 3, 3, 3)
+    defects = unitarity_defect(stack)
+    assert defects.shape == (2, 3)
+    assert all(d == unitarity_defect(u) for d, u in zip(defects.ravel(), stack.reshape(6, 3, 3)))
+    assert defects.max() <= 1e-10
+    assert_unitary(stack)
+    stack = stack.copy()
+    stack[1, 1] *= 2.0
+    stack[1, 2, 0, 0] = 5.0
+    with pytest.raises(ContractViolationError,
+                       match=r"^matrix 4 of the stack is not unitary \(defect 3\.000e\+00 "):
+        assert_unitary(stack)
+    with pytest.raises(ContractViolationError, match="square matrix or a stack"):
+        unitarity_defect(np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "inf"])
 def test_tolerance_checks_reject_non_finite_matrices(value):
     u = np.eye(3, dtype=complex)

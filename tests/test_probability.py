@@ -369,6 +369,38 @@ def test_probability_normalization_small_instance():
     assert 1.0 - 1e-5 <= total <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("params, seed, n_max", [((0.3, 2, 2, 1), 7, 14),
+                                                 ((0.4, 3, 2, 1), 12, 8)])
+def test_outcome_table_moments_match_closed_forms(params, seed, n_max):
+    # For squeezing r into U, n = sinh^2 r U* U^T and m = sinh r cosh r U U^T
+    # give <n_i> = n_ii and Cov(n_i, n_j) = |n_ij|^2 + |m_ij|^2 + delta_ij n_ii.
+    # The enumerated table misses only patterns of total N > n_max, and
+    # n_i <= N on them, so its means are off by at most T1 = sum_{N > n_max}
+    # N Pr(N) and its second moments by at most T2 = sum_{N > n_max} N^2
+    # Pr(N); its covariances, whose product of means loses at most
+    # (<n_i> + <n_j>) T1, by at most T2 + (<n_i> + <n_j>) T1. Measured:
+    # 9.1e-8 and 6.4e-7 against T1 3.6e-7 and T2 5.9e-6 for the first case,
+    # 4.0e-3 and 1.6e-2 against 3.6e-2 and 0.39 for the second.
+    inst = build_instance(*params, seed=seed)
+    r, u, modes = inst.r, inst.unitary, inst.modes
+    patterns = np.array(list(enumerate_patterns(modes, n_max)))
+    probs = outcome_probability(adjacency(inst), np.full(modes, r), patterns)
+    mean_table = probs @ patterns
+    cov_table = patterns.T @ (probs[:, None] * patterns) - np.outer(mean_table, mean_table)
+    n = math.sinh(r) ** 2 * (u.conj() @ u.T)
+    m = math.sinh(r) * math.cosh(r) * (u @ u.T)
+    mean = n.diagonal().real
+    cov = np.abs(n) ** 2 + np.abs(m) ** 2 + np.diag(mean)
+    totals = np.arange(201)
+    law = lossy_total_dist_closed(modes, r, 1.0, 200).probs
+    tail1 = float((totals * law)[n_max + 1:].sum())
+    tail2 = float((totals ** 2 * law)[n_max + 1:].sum())
+    slack = 1e-10      # the table's own round-off
+    assert np.abs(mean_table - mean).max() <= tail1 + slack
+    bound = tail2 + (mean[:, None] + mean[None, :]) * tail1 + slack
+    assert np.all(np.abs(cov_table - cov) <= bound)
+
+
 # ------------------------------------------------------------- sampling
 
 def test_exact_sample_zero_squeezing_always_vacuum():
